@@ -64,6 +64,20 @@ done
 wait "$srserved_pid"
 grep -q '"suite": "service_load"' "$lintdir/BENCH_service_load.json"
 
+echo "==> perfbench smoke (the repository benchmark's bit-exact output checks)"
+# One short run per workload; the result line must report every output
+# correct, so a core change that breaks the benchmark's checks fails here.
+for workload in paper_motion service_path; do
+    result="$(CARGO_TARGET_DIR=target/perfbench cargo run --release --offline --quiet \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    echo "$workload: $result"
+    case "$result" in
+        *'"correct": true,'*'"failed": 0,'*) ;;
+        *) echo "perfbench $workload: output checks failed"; exit 1 ;;
+    esac
+done
+
 echo "==> lint self-test smoke (negative corpus must keep tripping)"
 cargo test -q -p systolic-ring-lint --test negative_corpus
 cargo test -q -p systolic-ring-lint --test cli

@@ -23,10 +23,11 @@
 //!   precomputed result index, statistics to a per-phase increment list.
 //! * **SoA state.** Registers, outputs, output stamps, feedback-pipeline
 //!   words and the bus are gathered into contiguous arrays (lane-major for
-//!   multi-lane bursts), stepped with no `HashMap` or nested `match`
-//!   dispatch, and scattered back at the end of the burst — so between
-//!   bursts the machine always holds canonical architectural state and
-//!   checkpoints, traces and accessors need no special cases.
+//!   multi-lane bursts), and the host FIFOs, with their attached streams,
+//!   into lane-major local tables; all are stepped with no `HashMap` or
+//!   nested `match` dispatch, and scattered back at the end of the burst —
+//!   so between bursts the machine always holds canonical architectural
+//!   state and checkpoints, traces and accessors need no special cases.
 //! * **Lanes.** [`lockstep_burst`] steps N machines that share one
 //!   compiled program in lockstep over `[word; LANES]`-style lane-major
 //!   arrays, amortizing the schedule walk across a whole batch of jobs
@@ -55,11 +56,9 @@ use systolic_ring_isa::{RingGeometry, Word16};
 
 use crate::controller::CtrlState;
 use crate::dnode::DnodeState;
-use crate::host::HostBurstPlan;
 use crate::machine::RingMachine;
-use crate::params::LinkModel;
 use crate::plan::{CtxPlan, DecodedOp, FastSrc};
-use crate::switch::PushOutcome;
+use crate::switch::{PushOutcome, WordFifo};
 
 /// Cycles the configuration epochs must have been stable before a window
 /// is considered steady-state and compiled. Also guarantees the decoded
@@ -156,14 +155,16 @@ pub(crate) struct FusedProgram {
     /// All phases' operations, concatenated.
     ops: Vec<FusedOp>,
     phases: Vec<PhaseMeta>,
-    /// Host-input FIFO reads per phase: `(switch, port, operand reads)` —
-    /// the FIFO is popped once, but an empty FIFO underflows once per
-    /// operand read, exactly as the decoded path counts it.
-    pops: Vec<(u32, u32, u32)>,
+    /// Host-input FIFO reads per phase: `(flat host-input port, operand
+    /// reads)`, the port flattened as `switch * 2 * width + port` — the
+    /// FIFO is popped once, but an empty FIFO underflows once per operand
+    /// read, exactly as the decoded path counts it.
+    pops: Vec<(u32, u32)>,
     /// Per-phase statistics increments: `(dnode, uses multiplier)`.
     incs: Vec<(u32, bool)>,
-    /// Host captures (static across phases): `(switch, port, src dnode)`.
-    captures: Vec<(u32, u32, u32)>,
+    /// Host captures (static across phases): `(flat host-output port,
+    /// src dnode)`, the port flattened as `switch * width + port`.
+    captures: Vec<(u32, u32)>,
     /// Local-mode Dnodes: `(dnode, limit, counter at phase 0)`.
     locals: Vec<(u32, u8, u8)>,
     /// Upstream Dnode feeding each `(switch, lane)` pipeline slot.
@@ -230,7 +231,7 @@ fn lower_src(
     d: usize,
     depth: usize,
     width: usize,
-    pops: &mut Vec<(u32, u32, u32)>,
+    pops: &mut Vec<(u32, u32)>,
     phase_start: usize,
 ) -> FusedSrc {
     match src {
@@ -248,17 +249,14 @@ fn lower_src(
             lane: lane as u32,
         },
         FastSrc::HostIn { switch, port } => {
-            let key = (switch as u32, port as u32);
-            let slot = match pops[phase_start..]
-                .iter()
-                .position(|&(s, p, _)| (s, p) == key)
-            {
+            let key = (switch * 2 * width + port) as u32;
+            let slot = match pops[phase_start..].iter().position(|&(p, _)| p == key) {
                 Some(j) => {
-                    pops[phase_start + j].2 += 1;
+                    pops[phase_start + j].1 += 1;
                     j
                 }
                 None => {
-                    pops.push((key.0, key.1, 1));
+                    pops.push((key, 1));
                     pops.len() - 1 - phase_start
                 }
             };
@@ -291,7 +289,7 @@ pub(crate) fn compile(
 
     let mut ops = Vec::new();
     let mut phases = Vec::with_capacity(period as usize);
-    let mut pops: Vec<(u32, u32, u32)> = Vec::new();
+    let mut pops: Vec<(u32, u32)> = Vec::new();
     let mut incs: Vec<(u32, bool)> = Vec::new();
     let mut max_phase_ops = 0u32;
     let mut max_phase_slots = 0u32;
@@ -352,7 +350,7 @@ pub(crate) fn compile(
     let captures = cp
         .captures
         .iter()
-        .map(|c| (c.switch as u32, c.port as u32, c.src as u32))
+        .map(|c| ((c.switch * width + c.port) as u32, c.src as u32))
         .collect();
     let pipe_rows = (0..g.switches())
         .flat_map(|s| {
@@ -463,24 +461,18 @@ fn execute_impl<const L: usize>(
     let mut pipes = vec![Word16::ZERO; nsw * depth * width * l];
     let mut bus = vec![Word16::ZERO; l];
     let mut bases = vec![0u64; l];
-    let mut quiet = vec![false; l];
-    let mut plans: Vec<Option<HostBurstPlan>> = Vec::with_capacity(l);
-    for (lane, m) in lanes.iter().enumerate() {
+    // Host FIFOs move into lane-major tables (`flat port * l + lane`) for
+    // the whole burst, so a delivery, a read and a pop are cursor moves on
+    // a local `WordFifo`; each lane's link meter, input ports with stream
+    // words left and open sinks move into its `HostBurst`.
+    let in_ports = 2 * width;
+    let mut host_in = vec![WordFifo::default(); nsw * in_ports * l];
+    let mut host_out = vec![WordFifo::default(); nsw * width * l];
+    let mut hosts = Vec::with_capacity(l);
+    for (lane, m) in lanes.iter_mut().enumerate() {
         bases[lane] = m.cycle;
         bus[lane] = m.bus;
-        // A quiet host (all sources drained, no open sinks, direct link)
-        // would only advance its round-robin rotation each cycle; skip it
-        // per cycle and advance the rotation in bulk at scatter. A busy
-        // direct-link host gets a port plan so each replayed cycle visits
-        // only live ports; metered hosts keep the full credit-metered step.
-        quiet[lane] = m.params.link == LinkModel::Direct
-            && m.host.inputs_drained()
-            && !m.host.any_sink_open();
-        plans.push(if quiet[lane] {
-            None
-        } else {
-            m.host.burst_plan()
-        });
+        hosts.push(m.host.begin_burst(&m.switches));
         for d in 0..nd {
             let r = m.dnodes[d].regs_raw();
             for (i, word) in r.iter().enumerate() {
@@ -490,14 +482,24 @@ fn execute_impl<const L: usize>(
             stamps[d * l + lane] = m.dnodes[d].out_written_at();
         }
         for s in 0..nsw {
+            let switch = &mut m.switches[s];
             for st in 0..depth {
                 for w in 0..width {
-                    pipes[((s * depth + st) * width + w) * l + lane] =
-                        m.switches[s].pipe.read(st, w);
+                    pipes[((s * depth + st) * width + w) * l + lane] = switch.pipe.read(st, w);
                 }
+            }
+            for (p, fifo) in switch.host_in.iter_mut().enumerate() {
+                host_in[(s * in_ports + p) * l + lane] = std::mem::take(fifo);
+            }
+            for (p, fifo) in switch.host_out.iter_mut().enumerate() {
+                host_out[(s * width + p) * l + lane] = std::mem::take(fifo);
             }
         }
     }
+    // A lane whose host side cannot move a word (direct link, no stream
+    // words left, no open sink) changes nothing per cycle but the
+    // rotation, which `end_burst` advances for the whole burst.
+    let busy_hosts: Vec<usize> = (0..l).filter(|&lane| hosts[lane].busy()).collect();
     // Physical index of logical pipeline stage 0; rotation decrements it.
     let mut head = 0usize;
     let mut results = vec![Word16::ZERO; program.max_phase_ops as usize * l];
@@ -509,18 +511,16 @@ fn execute_impl<const L: usize>(
     let mut phase = entry as usize;
     for t in 0..k {
         let pm = &program.phases[phase];
-        // Stage the host-input FIFO heads read this phase (underflows
-        // count once per operand read of an empty FIFO).
+        // Stage and pop the host-input FIFO heads read this phase
+        // (underflows count once per operand read of an empty FIFO); the
+        // operations below read only the staged values.
         let pops = &program.pops[pm.pops.0 as usize..pm.pops.1 as usize];
-        for (j, &(s, p, reads)) in pops.iter().enumerate() {
+        for (j, &(port, reads)) in pops.iter().enumerate() {
             for lane in 0..l {
-                match lanes[lane].switches[s as usize].host_in[p as usize].peek() {
-                    Some(word) => hv[j * l + lane] = word,
-                    None => {
-                        hv[j * l + lane] = Word16::ZERO;
-                        under[lane] += u64::from(reads);
-                    }
-                }
+                hv[j * l + lane] = host_in[port as usize * l + lane].pop().unwrap_or_else(|| {
+                    under[lane] += u64::from(reads);
+                    Word16::ZERO
+                });
             }
         }
         // Evaluate this phase's operations against pre-cycle state.
@@ -550,27 +550,15 @@ fn execute_impl<const L: usize>(
                 }
             }
         }
-        // Consume the read FIFO heads.
-        for &(s, p, _) in pops {
-            for m in lanes.iter_mut() {
-                m.switches[s as usize].host_in[p as usize].pop();
-            }
-        }
-        // Host stream movement (skipped per cycle for quiet lanes).
-        for (lane, m) in lanes.iter_mut().enumerate() {
-            match &mut plans[lane] {
-                Some(plan) => m.host.step_planned(plan, &mut m.switches, &mut m.stats),
-                None if quiet[lane] => {}
-                None => m.host.step(&mut m.switches, &mut m.stats),
-            }
+        // Host stream movement, for either link model.
+        for &lane in &busy_hosts {
+            hosts[lane].cycle(lane, l, &mut host_in, &mut host_out);
         }
         // Host captures from pre-commit outputs, in commit order.
-        for &(s, p, src) in &program.captures {
+        for &(port, src) in &program.captures {
             for lane in 0..l {
                 let word = outs[src as usize * l + lane];
-                if lanes[lane].switches[s as usize].host_out[p as usize].push(word)
-                    == PushOutcome::Dropped
-                {
+                if host_out[port as usize * l + lane].push(word) == PushOutcome::Dropped {
                     over[lane] += 1;
                 }
             }
@@ -620,7 +608,7 @@ fn execute_impl<const L: usize>(
     for i in 0..(k % period as u64) as usize {
         execs[(entry as usize + i) % period] += 1;
     }
-    for (lane, m) in lanes.iter_mut().enumerate() {
+    for (lane, (m, host)) in lanes.iter_mut().zip(hosts).enumerate() {
         for d in 0..nd {
             let mut r = [Word16::ZERO; 4];
             for (i, word) in r.iter_mut().enumerate() {
@@ -629,25 +617,28 @@ fn execute_impl<const L: usize>(
             m.dnodes[d].scatter_raw(r, outs[d * l + lane], stamps[d * l + lane]);
         }
         for s in 0..nsw {
+            let switch = &mut m.switches[s];
             for st in 0..depth {
                 let phys = (head + st) % depth;
                 for w in 0..width {
-                    m.switches[s].pipe.poke(
-                        st,
-                        w,
-                        pipes[((s * depth + phys) * width + w) * l + lane],
-                    );
+                    switch
+                        .pipe
+                        .poke(st, w, pipes[((s * depth + phys) * width + w) * l + lane]);
                 }
             }
+            for (p, fifo) in switch.host_in.iter_mut().enumerate() {
+                *fifo = std::mem::take(&mut host_in[(s * in_ports + p) * l + lane]);
+            }
+            for (p, fifo) in switch.host_out.iter_mut().enumerate() {
+                *fifo = std::mem::take(&mut host_out[(s * width + p) * l + lane]);
+            }
         }
+        m.host.end_burst(host, k, &mut m.stats);
         m.bus = bus[lane];
         for &(d, limit, base) in &program.locals {
             let cpt = ((u64::from(base) + u64::from(entry) + k) % u64::from(limit)) as u8;
             m.dnodes[d as usize].sequencer_mut().set_counter_raw(cpt);
             m.stats.dnodes[d as usize].local_cycles += k;
-        }
-        if quiet[lane] {
-            m.host.skip_quiet_cycles(k);
         }
         // The controller spent the whole burst halted or waiting: every
         // cycle is a stall cycle, and a pending wait shrinks by k.

@@ -1,58 +1,97 @@
-//! Host-side data movement: stream sources, sinks and the link model.
+//! Host-side data movement: streams, sinks and the link model.
 //!
 //! The host CPU exchanges data with the ring through the switches' direct
-//! dedicated ports (§4.2). We model the host side as *streams*: a source
-//! queue per host-input port (filled by the application, drained into the
-//! switch FIFO at up to one word per port per cycle) and a sink per switch
-//! collecting captured outputs.
+//! dedicated ports (§4.2). We model the host side as *streams*: words the
+//! application attaches to a host-input port are delivered into that
+//! port's switch FIFO at up to one word per port per cycle, and a sink per
+//! host-output port collects captured outputs. An attached stream lives in
+//! the port's own [`WordFifo`] buffer, behind the FIFO's tail cursor, so a
+//! delivery is a cursor move; this interface keeps the sinks, the link
+//! meter and a count of undelivered words.
 //!
 //! All traffic is metered by a [`LinkModel`]: `Direct` reproduces the
 //! APEX-prototype situation (on-chip memories feed the ring at full rate,
 //! aggregate ≈3 GB/s for Ring-8 at 200 MHz), `Metered` reproduces the
 //! implemented PCI-class 250 MB/s host link of §5.1.
 
-use std::collections::VecDeque;
-
 use systolic_ring_isa::Word16;
 
 use crate::error::ConfigError;
 use crate::params::LinkModel;
 use crate::stats::Stats;
-use crate::switch::SwitchState;
+use crate::switch::{SwitchState, WordFifo};
 
-/// Live (switch, port) lists for burst-mode host stepping on a direct
-/// link; built by [`HostInterface::burst_plan`] at burst entry and
-/// consumed by [`HostInterface::step_planned`] each replayed cycle.
-#[derive(Debug)]
-pub(crate) struct HostBurstPlan {
-    fill: Vec<(usize, usize)>,
-    drain: Vec<(usize, usize)>,
+/// Offers the link to one host-input port: delivers its next stream word
+/// if one is waiting, the FIFO has room and the allowance is not spent.
+#[inline]
+fn offer_fill(fifo: &mut WordFifo, allowance: &mut usize, starved: &mut bool) -> bool {
+    if !fifo.can_deliver() {
+        return false;
+    }
+    if *allowance == 0 {
+        *starved = true;
+        return false;
+    }
+    fifo.deliver();
+    if *allowance != usize::MAX {
+        *allowance -= 1;
+    }
+    true
 }
 
-/// Host-side stream endpoints for one machine.
+/// Offers the link to one open sink: moves the head of its host-output
+/// FIFO into the sink if there is one and the allowance is not spent.
+#[inline]
+fn offer_drain(
+    fifo: &mut WordFifo,
+    sink: &mut Vec<Word16>,
+    allowance: &mut usize,
+    starved: &mut bool,
+) -> bool {
+    if fifo.is_empty() {
+        return false;
+    }
+    if *allowance == 0 {
+        *starved = true;
+        return false;
+    }
+    sink.extend(fifo.pop());
+    if *allowance != usize::MAX {
+        *allowance -= 1;
+    }
+    true
+}
+
+/// Host-side stream endpoints for one machine: the sinks, the link meter
+/// (credit and round-robin rotation) and a count of the words attached to
+/// host-input ports but not yet delivered. The attached words themselves
+/// live in the ports' [`WordFifo`] buffers, behind the tail cursor, so
+/// [`HostInterface::inputs_drained`] is O(1) and delivery moves no words.
 #[derive(Clone, Debug)]
 pub struct HostInterface {
-    sources: Vec<Vec<VecDeque<Word16>>>,
     sinks: Vec<Vec<Vec<Word16>>>,
-    sink_open: Vec<Vec<bool>>,
+    /// Open sinks as `(switch, port)`, sorted: the round-robin drain order
+    /// from switch 0.
+    open: Vec<(usize, usize)>,
     link: LinkModel,
     credit: f64,
     rotate: usize,
+    /// Words attached to host-input ports and not yet delivered, summed
+    /// over every port.
+    undelivered: usize,
 }
 
 impl HostInterface {
-    /// A host interface for `switches` switches with `in_ports` input and
-    /// `out_ports` output ports each.
-    pub fn new(switches: usize, in_ports: usize, out_ports: usize, link: LinkModel) -> Self {
+    /// A host interface for `switches` switches with `out_ports` output
+    /// ports each.
+    pub fn new(switches: usize, out_ports: usize, link: LinkModel) -> Self {
         HostInterface {
-            sources: (0..switches)
-                .map(|_| (0..in_ports).map(|_| VecDeque::new()).collect())
-                .collect(),
             sinks: vec![vec![Vec::new(); out_ports]; switches],
-            sink_open: vec![vec![false; out_ports]; switches],
+            open: Vec::new(),
             link,
             credit: 0.0,
             rotate: 0,
+            undelivered: 0,
         }
     }
 
@@ -80,31 +119,17 @@ impl HostInterface {
     /// Returns [`ConfigError`] for out-of-range indices.
     pub fn open_sink(&mut self, switch: usize, port: usize) -> Result<(), ConfigError> {
         self.check_out_port(switch, port)?;
-        self.sink_open[switch][port] = true;
-        Ok(())
-    }
-
-    fn check_port(&self, switch: usize, port: usize) -> Result<(), ConfigError> {
-        if switch >= self.sources.len() {
-            return Err(ConfigError::SwitchOutOfRange {
-                switch,
-                switches: self.sources.len(),
-            });
-        }
-        let ports = self.sources[switch].len();
-        if port >= ports {
-            return Err(ConfigError::HostPortOutOfRange { port, ports });
+        if let Err(at) = self.open.binary_search(&(switch, port)) {
+            self.open.insert(at, (switch, port));
         }
         Ok(())
     }
 
-    /// Appends words to the source stream of (`switch`, `port`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] for out-of-range indices.
-    pub fn attach_input<I>(
+    /// Appends words to the stream of host-input port (`switch`, `port`),
+    /// stored in that port's FIFO buffer (see [`WordFifo::attach`]).
+    pub(crate) fn attach_input<I>(
         &mut self,
+        switches: &mut [SwitchState],
         switch: usize,
         port: usize,
         words: I,
@@ -112,19 +137,12 @@ impl HostInterface {
     where
         I: IntoIterator<Item = Word16>,
     {
-        self.check_port(switch, port)?;
-        self.sources[switch][port].extend(words);
+        check_input_port(switches, switch, port)?;
+        let fifo = &mut switches[switch].host_in[port];
+        let before = fifo.pending();
+        fifo.attach(words);
+        self.undelivered += fifo.pending() - before;
         Ok(())
-    }
-
-    /// Words still queued on the source stream of (`switch`, `port`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] for out-of-range indices.
-    pub fn pending_input(&self, switch: usize, port: usize) -> Result<usize, ConfigError> {
-        self.check_port(switch, port)?;
-        Ok(self.sources[switch][port].len())
     }
 
     /// Words collected by the sink of (`switch`, `port`).
@@ -147,90 +165,20 @@ impl HostInterface {
         Ok(std::mem::take(&mut self.sinks[switch][port]))
     }
 
-    /// `true` if every source stream has been fully delivered.
+    /// `true` if every attached stream has been fully delivered.
     pub fn inputs_drained(&self) -> bool {
-        self.sources
-            .iter()
-            .all(|ports| ports.iter().all(VecDeque::is_empty))
+        self.undelivered == 0
     }
 
     /// `true` if any sink is open (the host drains captures every cycle).
     pub(crate) fn any_sink_open(&self) -> bool {
-        self.sink_open.iter().any(|ports| ports.contains(&true))
-    }
-
-    /// Fused-burst shortcut for *quiet* cycles — sources drained, no open
-    /// sinks, direct link: [`HostInterface::step`] would only advance the
-    /// round-robin rotation, so advance it `cycles` times in one go.
-    pub(crate) fn skip_quiet_cycles(&mut self, cycles: u64) {
-        debug_assert!(self.inputs_drained() && !self.any_sink_open());
-        debug_assert_eq!(self.link, LinkModel::Direct);
-        self.rotate = self.rotate.wrapping_add(cycles as usize);
-    }
-
-    /// Builds a burst-mode port plan, or `None` unless the link is
-    /// [`LinkModel::Direct`]. A direct link has an unlimited per-cycle
-    /// allowance, so the round-robin service order of [`HostInterface::step`]
-    /// is immaterial and a cycle only has to visit the ports that can
-    /// actually move a word: sources that still hold data (they only
-    /// shrink inside a burst) and open sinks (a burst cannot open one).
-    pub(crate) fn burst_plan(&self) -> Option<HostBurstPlan> {
-        if self.link != LinkModel::Direct {
-            return None;
-        }
-        let mut fill = Vec::new();
-        for (s, ports) in self.sources.iter().enumerate() {
-            for (port, source) in ports.iter().enumerate() {
-                if !source.is_empty() {
-                    fill.push((s, port));
-                }
-            }
-        }
-        let mut drain = Vec::new();
-        for (s, ports) in self.sink_open.iter().enumerate() {
-            for (port, open) in ports.iter().enumerate() {
-                if *open {
-                    drain.push((s, port));
-                }
-            }
-        }
-        Some(HostBurstPlan { fill, drain })
-    }
-
-    /// One cycle of host traffic along a prepared [`HostBurstPlan`].
-    /// Behaves exactly like [`HostInterface::step`] on a direct link: the
-    /// allowance is unlimited, so no transfer ever starves
-    /// (`link_stall_cycles` stays put) and the credit meter stays at zero.
-    pub(crate) fn step_planned(
-        &mut self,
-        plan: &mut HostBurstPlan,
-        switches: &mut [SwitchState],
-        stats: &mut Stats,
-    ) {
-        self.rotate = self.rotate.wrapping_add(1);
-        let sources = &mut self.sources;
-        plan.fill.retain(|&(s, port)| {
-            let source = &mut sources[s][port];
-            if !switches[s].host_in[port].is_full() {
-                let word = source.pop_front().expect("planned source non-empty");
-                switches[s].host_in[port].push(word);
-                stats.host_words_in += 1;
-            }
-            !source.is_empty()
-        });
-        for &(s, port) in &plan.drain {
-            if let Some(word) = switches[s].host_out[port].pop() {
-                self.sinks[s][port].push(word);
-                stats.host_words_out += 1;
-            }
-        }
+        !self.open.is_empty()
     }
 
     /// Moves words between host streams and switch FIFOs for one cycle.
     pub(crate) fn step(&mut self, switches: &mut [SwitchState], stats: &mut Stats) {
         let (credit, mut allowance) = self.link.allowance(self.credit);
         self.credit = credit;
-
         let n = switches.len();
         if n == 0 {
             return;
@@ -240,46 +188,30 @@ impl HostInterface {
         let mut starved = false;
 
         // Fill switch host-input FIFOs: at most one word per port per cycle.
-        for i in 0..n {
-            let s = (start + i) % n;
-            for (port, source) in self.sources[s].iter_mut().enumerate() {
-                if source.is_empty() {
-                    continue;
-                }
-                if switches[s].host_in[port].is_full() {
-                    continue;
-                }
-                if allowance == 0 {
-                    starved = true;
-                    continue;
-                }
-                let word = source.pop_front().expect("checked non-empty");
-                switches[s].host_in[port].push(word);
-                stats.host_words_in += 1;
-                if allowance != usize::MAX {
-                    allowance -= 1;
+        if self.undelivered > 0 {
+            let mut delivered = 0;
+            let (before, from) = switches.split_at_mut(start);
+            for part in [from, before] {
+                for switch in part {
+                    for fifo in &mut switch.host_in {
+                        delivered += usize::from(offer_fill(fifo, &mut allowance, &mut starved));
+                    }
                 }
             }
+            self.undelivered -= delivered;
+            stats.host_words_in += delivered as u64;
         }
 
         // Drain host-output FIFOs into open sinks: one word per out-port
         // per cycle.
-        for i in 0..n {
-            let s = (start + i) % n;
-            for port in 0..switches[s].host_out.len() {
-                if !self.sink_open[s][port] || switches[s].host_out[port].is_empty() {
-                    continue;
-                }
-                if allowance == 0 {
-                    starved = true;
-                    continue;
-                }
-                if let Some(word) = switches[s].host_out[port].pop() {
-                    self.sinks[s][port].push(word);
+        let (before, from) = self
+            .open
+            .split_at(self.open.partition_point(|&(s, _)| s < start));
+        for part in [from, before] {
+            for &(s, port) in part {
+                let (fifo, sink) = (&mut switches[s].host_out[port], &mut self.sinks[s][port]);
+                if offer_drain(fifo, sink, &mut allowance, &mut starved) {
                     stats.host_words_out += 1;
-                    if allowance != usize::MAX {
-                        allowance -= 1;
-                    }
                 }
             }
         }
@@ -287,6 +219,157 @@ impl HostInterface {
         if starved {
             stats.link_stall_cycles += 1;
         }
+    }
+
+    /// Moves the host side into a [`HostBurst`] for a fused burst: the
+    /// link meter, the ports with undelivered words and the open sinks.
+    pub(crate) fn begin_burst(&mut self, switches: &[SwitchState]) -> HostBurst {
+        let n = switches.len();
+        let in_ports = switches.first().map_or(0, SwitchState::host_in_ports);
+        let mut fill = Vec::new();
+        let mut fill_from = Vec::with_capacity(n);
+        for (s, switch) in switches.iter().enumerate() {
+            fill_from.push(fill.len() as u32);
+            for (port, fifo) in switch.host_in.iter().enumerate() {
+                if fifo.pending() > 0 {
+                    fill.push((s * in_ports + port) as u32);
+                }
+            }
+        }
+        let drain_from = (0..n)
+            .map(|s| self.open.partition_point(|&(os, _)| os < s) as u32)
+            .collect();
+        let out_ports = self.sinks.first().map_or(0, Vec::len);
+        let drain = self
+            .open
+            .iter()
+            .map(|&(s, port)| {
+                let sink = std::mem::take(&mut self.sinks[s][port]);
+                ((s * out_ports + port) as u32, sink)
+            })
+            .collect();
+        HostBurst {
+            link: self.link,
+            credit: self.credit,
+            start: self.rotate % n.max(1),
+            fill,
+            fill_from,
+            drain,
+            drain_from,
+            words_in: 0,
+            words_out: 0,
+            stalls: 0,
+        }
+    }
+
+    /// Ends a fused burst of `cycles` cycles: takes back the sinks and the
+    /// link meter and accounts the burst's traffic.
+    pub(crate) fn end_burst(&mut self, burst: HostBurst, cycles: u64, stats: &mut Stats) {
+        let out_ports = self.sinks.first().map_or(0, Vec::len);
+        for (flat, sink) in burst.drain {
+            let flat = flat as usize;
+            self.sinks[flat / out_ports][flat % out_ports] = sink;
+        }
+        self.credit = burst.credit;
+        self.rotate = self.rotate.wrapping_add(cycles as usize);
+        self.undelivered -= burst.words_in as usize;
+        stats.host_words_in += burst.words_in;
+        stats.host_words_out += burst.words_out;
+        stats.link_stall_cycles += burst.stalls;
+    }
+}
+
+/// Checks that host-input port (`switch`, `port`) exists.
+pub(crate) fn check_input_port(
+    switches: &[SwitchState],
+    switch: usize,
+    port: usize,
+) -> Result<(), ConfigError> {
+    let state = switches.get(switch).ok_or(ConfigError::SwitchOutOfRange {
+        switch,
+        switches: switches.len(),
+    })?;
+    let ports = state.host_in.len();
+    if port >= ports {
+        return Err(ConfigError::HostPortOutOfRange { port, ports });
+    }
+    Ok(())
+}
+
+/// One machine's host side for the length of a fused burst (see
+/// `crate::fused`). The burst moves every host FIFO into lane-major local
+/// tables (`flat port * lanes + lane`); this holds the link meter as plain
+/// values, the input ports that still have stream words and the open
+/// sinks, so a replayed cycle touches nothing in the machine.
+#[derive(Debug)]
+pub(crate) struct HostBurst {
+    link: LinkModel,
+    credit: f64,
+    /// Switch served first this cycle: the interface's rotation, kept as
+    /// a running index for the burst.
+    start: usize,
+    /// Flat host-input ports with undelivered words at entry, in
+    /// round-robin order from switch 0.
+    fill: Vec<u32>,
+    /// Per switch `s`: the first `fill` entry on switch `s` or later.
+    fill_from: Vec<u32>,
+    /// Open sinks: flat host-output port and the sink itself.
+    drain: Vec<(u32, Vec<Word16>)>,
+    /// Per switch `s`: the first `drain` entry on switch `s` or later.
+    drain_from: Vec<u32>,
+    words_in: u64,
+    words_out: u64,
+    stalls: u64,
+}
+
+impl HostBurst {
+    /// `false` if no cycle of the burst can change anything but the
+    /// rotation: a direct link (whose credit stays zero) with no stream
+    /// words to deliver and no open sink.
+    pub(crate) fn busy(&self) -> bool {
+        self.link != LinkModel::Direct || !self.fill.is_empty() || !self.drain.is_empty()
+    }
+
+    /// One cycle of host traffic for `lane` of `lanes`, over the burst's
+    /// host-input (`ins`) and host-output (`outs`) tables: the work of
+    /// [`HostInterface::step`], for either link model.
+    #[inline(always)]
+    pub(crate) fn cycle(
+        &mut self,
+        lane: usize,
+        lanes: usize,
+        ins: &mut [WordFifo],
+        outs: &mut [WordFifo],
+    ) {
+        let (credit, mut allowance) = self.link.allowance(self.credit);
+        self.credit = credit;
+        let start = self.start;
+        self.start = if start + 1 == self.fill_from.len() {
+            0
+        } else {
+            start + 1
+        };
+        let mut starved = false;
+
+        let mut delivered = 0;
+        let (before, from) = self.fill.split_at(self.fill_from[start] as usize);
+        for ports in [from, before] {
+            for &flat in ports {
+                let fifo = &mut ins[flat as usize * lanes + lane];
+                delivered += u64::from(offer_fill(fifo, &mut allowance, &mut starved));
+            }
+        }
+        self.words_in += delivered;
+
+        let (before, from) = self.drain.split_at_mut(self.drain_from[start] as usize);
+        for sinks in [from, before] {
+            for (flat, sink) in sinks {
+                let fifo = &mut outs[*flat as usize * lanes + lane];
+                self.words_out += u64::from(offer_drain(fifo, sink, &mut allowance, &mut starved));
+            }
+        }
+
+        self.stalls += u64::from(starved);
     }
 }
 
@@ -304,16 +387,18 @@ mod tests {
 
     #[test]
     fn direct_link_moves_one_word_per_port_per_cycle() {
-        let mut host = HostInterface::new(2, 4, 2, LinkModel::Direct);
+        let mut host = HostInterface::new(2, 2, LinkModel::Direct);
         let mut sw = switches(2, 2);
         let mut stats = Stats::new(4);
-        host.attach_input(0, 0, [w(1), w(2), w(3)]).unwrap();
-        host.attach_input(1, 3, [w(9)]).unwrap();
+        host.attach_input(&mut sw, 0, 0, [w(1), w(2), w(3)])
+            .unwrap();
+        host.attach_input(&mut sw, 1, 3, [w(9)]).unwrap();
         host.step(&mut sw, &mut stats);
         assert_eq!(sw[0].host_in[0].len(), 1);
         assert_eq!(sw[1].host_in[3].len(), 1);
         assert_eq!(stats.host_words_in, 2);
         host.step(&mut sw, &mut stats);
+        assert!(!host.inputs_drained());
         host.step(&mut sw, &mut stats);
         assert_eq!(sw[0].host_in[0].len(), 3);
         assert!(host.inputs_drained());
@@ -325,7 +410,6 @@ mod tests {
         // 2 bytes/cycle = 1 word/cycle across all traffic.
         let mut host = HostInterface::new(
             2,
-            2,
             1,
             LinkModel::Metered {
                 bytes_per_cycle: 2.0,
@@ -333,8 +417,8 @@ mod tests {
         );
         let mut sw = switches(2, 1);
         let mut stats = Stats::new(2);
-        host.attach_input(0, 0, vec![w(1); 10]).unwrap();
-        host.attach_input(1, 0, vec![w(2); 10]).unwrap();
+        host.attach_input(&mut sw, 0, 0, vec![w(1); 10]).unwrap();
+        host.attach_input(&mut sw, 1, 0, vec![w(2); 10]).unwrap();
         for _ in 0..10 {
             host.step(&mut sw, &mut stats);
         }
@@ -347,7 +431,7 @@ mod tests {
 
     #[test]
     fn closed_sinks_do_not_drain() {
-        let mut host = HostInterface::new(1, 2, 1, LinkModel::Direct);
+        let mut host = HostInterface::new(1, 1, LinkModel::Direct);
         let mut sw = switches(1, 1);
         let mut stats = Stats::new(1);
         sw[0].host_out[0].push(w(5));
@@ -359,7 +443,7 @@ mod tests {
 
     #[test]
     fn drains_captures_into_sinks() {
-        let mut host = HostInterface::new(1, 2, 1, LinkModel::Direct);
+        let mut host = HostInterface::new(1, 1, LinkModel::Direct);
         let mut sw = switches(1, 1);
         let mut stats = Stats::new(1);
         host.open_sink(0, 0).unwrap();
@@ -378,9 +462,10 @@ mod tests {
 
     #[test]
     fn parallel_out_ports_drain_together() {
-        let mut host = HostInterface::new(1, 2, 2, LinkModel::Direct);
+        let mut host = HostInterface::new(1, 2, LinkModel::Direct);
         let mut sw = switches(1, 2);
         let mut stats = Stats::new(1);
+        host.open_sink(0, 1).unwrap();
         host.open_sink(0, 0).unwrap();
         host.open_sink(0, 1).unwrap();
         sw[0].host_out[0].push(w(1));
@@ -393,27 +478,30 @@ mod tests {
 
     #[test]
     fn full_fifo_backpressures_source() {
-        let mut host = HostInterface::new(1, 1, 1, LinkModel::Direct);
+        let mut host = HostInterface::new(1, 1, LinkModel::Direct);
+        // FIFO capacity 2.
         let mut sw = vec![SwitchState::new(4, 1, 2)];
-        // Switch has 2 host-in ports (2*width) but we built host with 1 port:
-        // use port 0 only. FIFO capacity 2.
         let mut stats = Stats::new(1);
-        host.attach_input(0, 0, vec![w(1); 5]).unwrap();
+        host.attach_input(&mut sw, 0, 0, vec![w(1); 5]).unwrap();
         for _ in 0..5 {
             host.step(&mut sw, &mut stats);
         }
         assert_eq!(sw[0].host_in[0].len(), 2);
-        assert_eq!(host.pending_input(0, 0).unwrap(), 3);
+        assert_eq!(sw[0].host_in[0].pending(), 3);
+        assert_eq!(stats.host_words_in, 2);
+        assert!(!host.inputs_drained());
     }
 
     #[test]
     fn bounds_are_checked() {
-        let mut host = HostInterface::new(1, 2, 1, LinkModel::Direct);
-        assert!(host.attach_input(1, 0, []).is_err());
-        assert!(host.attach_input(0, 2, []).is_err());
+        let mut host = HostInterface::new(1, 1, LinkModel::Direct);
+        let mut sw = switches(1, 1);
+        assert!(host.attach_input(&mut sw, 1, 0, []).is_err());
+        assert!(host.attach_input(&mut sw, 0, 2, []).is_err());
         assert!(host.sink(3, 0).is_err());
         assert!(host.sink(0, 3).is_err());
         assert!(host.take_sink(3, 0).is_err());
-        assert!(host.pending_input(0, 5).is_err());
+        assert!(check_input_port(&sw, 0, 5).is_err());
+        assert!(check_input_port(&sw, 0, 1).is_ok());
     }
 }

@@ -30,7 +30,7 @@ use crate::controller::{Controller, CtrlEffect, CtrlFault, CtrlPorts, CtrlStep};
 use crate::dnode::DnodeState;
 use crate::error::{ConfigError, SimError};
 use crate::fault::{FaultConfig, FaultCtx, FaultInjector};
-use crate::host::HostInterface;
+use crate::host::{check_input_port, HostInterface};
 use crate::params::MachineParams;
 use crate::plan::{DecodedPlan, FastSrc, Scratch, StagedWrite};
 use crate::stats::Stats;
@@ -222,12 +222,7 @@ impl RingMachine {
             switches,
             config: ConfigLayer::new(geometry, params.contexts, params.pipe_depth),
             controller: Controller::new(params.prog_capacity, params.dmem_capacity),
-            host: HostInterface::new(
-                geometry.switches(),
-                2 * geometry.width(),
-                geometry.width(),
-                params.link,
-            ),
+            host: HostInterface::new(geometry.switches(), geometry.width(), params.link),
             bus: Word16::ZERO,
             cycle: 0,
             stats: Stats::new(geometry.dnodes()),
@@ -376,7 +371,9 @@ impl RingMachine {
         Ok(())
     }
 
-    /// Appends words to the host source stream of (`switch`, `port`).
+    /// Appends words to the host stream of host-input port (`switch`,
+    /// `port`); they are delivered into the port's FIFO at up to one word
+    /// per cycle, behind any words attached earlier.
     ///
     /// # Errors
     ///
@@ -390,7 +387,19 @@ impl RingMachine {
     where
         I: IntoIterator<Item = Word16>,
     {
-        self.host.attach_input(switch, port, words)
+        self.host
+            .attach_input(&mut self.switches, switch, port, words)
+    }
+
+    /// Words attached to host-input port (`switch`, `port`) and not yet
+    /// delivered into its FIFO.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] for out-of-range indices.
+    pub fn pending_input(&self, switch: usize, port: usize) -> Result<usize, ConfigError> {
+        check_input_port(&self.switches, switch, port)?;
+        Ok(self.switches[switch].host_in[port].pending())
     }
 
     /// Opens the host sink of (`switch`, `port`) so captured words are
@@ -1379,17 +1388,10 @@ impl RingMachine {
             CtrlEffect::SetActiveCtx(ctx) => self.config.stage_select(ctx),
             CtrlEffect::DriveBus(_) => Ok(()), // handled by the bus arbiter
             CtrlEffect::HostPush { switch, port, word } => {
-                let switches = self.switches.len();
-                let state = self
-                    .switches
-                    .get_mut(switch)
-                    .ok_or(ConfigError::SwitchOutOfRange { switch, switches })?;
-                let ports = state.host_in.len();
-                let fifo = state
-                    .host_in
-                    .get_mut(port)
-                    .ok_or(ConfigError::HostPortOutOfRange { port, ports })?;
-                if fifo.push(word) == PushOutcome::Dropped {
+                // Lands behind the FIFO's delivered words, ahead of any
+                // undelivered stream words (see `WordFifo::push`).
+                check_input_port(&self.switches, switch, port)?;
+                if self.switches[switch].host_in[port].push(word) == PushOutcome::Dropped {
                     self.stats.fifo_overflows += 1;
                 }
                 Ok(())

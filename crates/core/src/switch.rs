@@ -107,57 +107,157 @@ pub enum PushOutcome {
 }
 
 /// A bounded word FIFO (host-input or host-output side of a switch).
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+///
+/// One buffer with two cursors: `buf[head..tail]` is the FIFO itself and
+/// `buf[tail..]` is the host stream attached to the port but not yet
+/// delivered. A delivery moves one word across the boundary
+/// (`tail += 1`), a read is `buf[head]` and a pop is `head += 1`, so a
+/// stream word is written once, when it is attached, and never copied
+/// between queues. A controller `hpush` lands at `tail`: behind every
+/// delivered word and ahead of the undelivered ones, where a separate
+/// source queue feeding the FIFO would put it. An attach, or a push that
+/// would have to grow the buffer, first drops the consumed prefix if it
+/// is at least as long as the words still stored, which keeps the buffer
+/// bounded at amortized O(1) per word. Host-output FIFOs use the same
+/// structure and never carry a stream.
+///
+/// Equality compares the queue contents, the undelivered stream and the
+/// capacity, never how much consumed prefix happens to be stored.
+#[derive(Clone, Debug, Default)]
 pub struct WordFifo {
-    queue: VecDeque<Word16>,
+    buf: Vec<Word16>,
+    head: usize,
+    tail: usize,
     capacity: usize,
 }
 
+impl PartialEq for WordFifo {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity
+            && self.len() == other.len()
+            && self.buf[self.head..] == other.buf[other.head..]
+    }
+}
+
+impl Eq for WordFifo {}
+
 impl WordFifo {
-    /// An empty FIFO holding at most `capacity` words.
+    /// An empty FIFO holding at most `capacity` words, with no stream
+    /// attached.
     pub fn new(capacity: usize) -> Self {
         WordFifo {
-            queue: VecDeque::new(),
+            buf: Vec::new(),
+            head: 0,
+            tail: 0,
             capacity,
         }
     }
 
-    /// Words currently enqueued.
+    /// Words currently enqueued (delivered and not yet popped).
     #[inline]
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.tail - self.head
     }
 
     /// `true` if no words are enqueued.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.head == self.tail
     }
 
     /// `true` if at capacity.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.queue.len() >= self.capacity
+        self.len() >= self.capacity
     }
 
     /// The word a reader would observe this cycle (head), if any.
     #[inline]
     pub fn peek(&self) -> Option<Word16> {
-        self.queue.front().copied()
+        if self.is_empty() {
+            None
+        } else {
+            Some(self.buf[self.head])
+        }
     }
 
-    /// Removes and returns the head.
+    /// Removes and returns the head. Popping the last stored word empties
+    /// the buffer.
     pub fn pop(&mut self) -> Option<Word16> {
-        self.queue.pop_front()
+        let word = self.peek()?;
+        self.head += 1;
+        if self.head == self.buf.len() {
+            self.buf.clear();
+            self.head = 0;
+            self.tail = 0;
+        }
+        Some(word)
     }
 
-    /// Enqueues `word`, dropping it if the FIFO is full.
+    /// Enqueues `word`, dropping it if the FIFO is full. The word joins
+    /// the back of the queue, ahead of any undelivered stream words.
     pub fn push(&mut self, word: Word16) -> PushOutcome {
         if self.is_full() {
-            PushOutcome::Dropped
+            return PushOutcome::Dropped;
+        }
+        if self.buf.len() == self.buf.capacity() {
+            // Storing would grow the buffer: drop the consumed prefix
+            // first if it can make the room.
+            self.drop_consumed();
+        }
+        if self.tail == self.buf.len() {
+            self.buf.push(word);
         } else {
-            self.queue.push_back(word);
-            PushOutcome::Stored
+            self.buf.insert(self.tail, word);
+        }
+        self.tail += 1;
+        PushOutcome::Stored
+    }
+
+    /// Appends words to the attached stream, behind any words still
+    /// undelivered.
+    pub fn attach<I: IntoIterator<Item = Word16>>(&mut self, words: I) {
+        self.drop_consumed();
+        self.buf.extend(words);
+    }
+
+    /// Stream words attached but not yet delivered into the FIFO.
+    #[inline]
+    pub fn pending(&self) -> usize {
+        self.buf.len() - self.tail
+    }
+
+    /// `true` if a stream word is waiting and the FIFO has room for it.
+    #[inline]
+    pub fn can_deliver(&self) -> bool {
+        self.tail < self.buf.len() && !self.is_full()
+    }
+
+    /// Moves the next stream word into the FIFO; `false` (and no change)
+    /// unless [`WordFifo::can_deliver`].
+    pub fn deliver(&mut self) -> bool {
+        let moved = self.can_deliver();
+        self.tail += usize::from(moved);
+        moved
+    }
+
+    /// Words held in the backing buffer: the consumed prefix not yet
+    /// compacted away, the queue and the undelivered stream.
+    pub fn stored(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Drops the consumed prefix if it is at least as long as the words
+    /// still stored. Called before a push that would grow the buffer and
+    /// before an attach: a compaction moves no more words than were
+    /// popped since the previous one (O(1) amortized per word), and a
+    /// full buffer either halves or holds mostly live words, so it stays
+    /// within about four times its largest live content.
+    fn drop_consumed(&mut self) {
+        if self.head >= self.buf.len() - self.head {
+            self.buf.drain(..self.head);
+            self.tail -= self.head;
+            self.head = 0;
         }
     }
 }
@@ -172,8 +272,9 @@ impl WordFifo {
 pub struct SwitchState {
     /// The feedback pipeline this switch owns.
     pub pipe: FeedbackPipeline,
-    /// Host-to-ring FIFOs (filled by host streams or controller `hpush`),
-    /// indexed by host-input port.
+    /// Host-to-ring FIFOs, indexed by host-input port. Each also holds
+    /// the host stream attached to its port (see [`WordFifo`]) and is
+    /// filled by stream delivery or controller `hpush`.
     pub host_in: Vec<WordFifo>,
     /// Ring-to-host FIFOs (filled by the per-port capture selectors,
     /// drained by host sinks or controller `hpop`), indexed by out-port.

@@ -111,13 +111,13 @@ impl Server {
             shutdown,
             workers,
         } = self;
-        let mut handlers = Vec::new();
-        let spawn_handler = |stream: TcpStream, handlers: &mut Vec<thread::JoinHandle<()>>| {
+        let mut handlers = ConnectionThreads::default();
+        let spawn_handler = |stream: TcpStream, handlers: &mut ConnectionThreads| {
             let service = Arc::clone(&service);
             let shutdown = Arc::clone(&shutdown);
-            handlers.push(thread::spawn(move || {
+            handlers.spawn(move || {
                 handle_connection(&service, stream, &shutdown, local_addr);
-            }));
+            });
         };
         for stream in listener.incoming() {
             let stopping = shutdown.load(Ordering::SeqCst);
@@ -153,13 +153,45 @@ impl Server {
             }
         }
         drop(listener);
-        for handle in handlers {
-            let _ = handle.join();
-        }
+        handlers.join_all();
         for handle in workers {
             let _ = handle.join();
         }
         Ok(())
+    }
+}
+
+/// The connection handler threads of a running server.
+///
+/// A finished thread keeps its stack mapped until it is joined, so
+/// holding every handle until drain would cost memory maps per
+/// connection ever served; [`ConnectionThreads::spawn`] first joins the
+/// handlers that have finished, which keeps one handle per live
+/// connection.
+#[derive(Default)]
+struct ConnectionThreads {
+    live: Vec<thread::JoinHandle<()>>,
+}
+
+impl ConnectionThreads {
+    /// Joins the finished handlers, then starts `handler` on a new thread.
+    fn spawn<F: FnOnce() + Send + 'static>(&mut self, handler: F) {
+        let mut i = 0;
+        while i < self.live.len() {
+            if self.live[i].is_finished() {
+                let _ = self.live.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
+        }
+        self.live.push(thread::spawn(handler));
+    }
+
+    /// Waits for every handler still serving a connection.
+    fn join_all(self) {
+        for handle in self.live {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -268,5 +300,48 @@ fn submit(service: &Service, req: &Request) -> Response {
                 retry_after_ms.div_ceil(1000).max(1).to_string(),
             )
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+
+    /// Many sequential connections, each served to EOF on its own handler
+    /// thread, leave a bounded handler list: finished handlers are joined
+    /// as new connections arrive instead of piling up until drain.
+    #[test]
+    fn sequential_connections_leave_a_bounded_handler_list() {
+        const CONNECTIONS: usize = 400;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let client = thread::spawn(move || {
+            for i in 0..CONNECTIONS {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                stream.write_all(&[i as u8]).expect("request");
+                let mut echo = [0u8; 1];
+                stream.read_exact(&mut echo).expect("response");
+                assert_eq!(echo[0], i as u8);
+            }
+        });
+        let mut handlers = ConnectionThreads::default();
+        let mut most = 0;
+        for _ in 0..CONNECTIONS {
+            let (mut stream, _) = listener.accept().expect("accept");
+            handlers.spawn(move || {
+                let mut byte = [0u8; 1];
+                if stream.read_exact(&mut byte).is_ok() {
+                    let _ = stream.write_all(&byte);
+                }
+            });
+            most = most.max(handlers.live.len());
+        }
+        client.join().expect("client");
+        handlers.join_all();
+        assert!(
+            most <= 32,
+            "{most} handler threads held for {CONNECTIONS} sequential connections"
+        );
     }
 }
