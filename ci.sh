@@ -77,6 +77,16 @@ for workload in paper_motion service_path; do
         *) echo "perfbench $workload: output checks failed"; exit 1 ;;
     esac
 done
+# Traced mode adds the golden-checked BatchRunner probes (lane-fused and
+# serial batches) to the service path, so the batch executor is covered.
+result="$(CARGO_TARGET_DIR=target/perfbench cargo run --release --offline --quiet \
+    --manifest-path perfbench/Cargo.toml -- \
+    --workload service_path --seed 1 --seconds 1 --trace 1 | tail -n 1)"
+echo "service_path (traced): $result"
+case "$result" in
+    *'"correct": true,'*'"failed": 0,'*) ;;
+    *) echo "perfbench service_path (traced): output checks failed"; exit 1 ;;
+esac
 
 echo "==> lint self-test smoke (negative corpus must keep tripping)"
 cargo test -q -p systolic-ring-lint --test negative_corpus

@@ -20,6 +20,8 @@ use systolic_ring_isa::object::Object;
 use systolic_ring_isa::proof::ProofManifest;
 use systolic_ring_isa::{RingGeometry, Word16};
 
+use crate::preempt::RunningJob;
+
 /// A machine-configuration closure: applied to a freshly reset machine.
 pub type SetupFn = dyn Fn(&mut RingMachine) -> Result<(), ConfigError> + Send + Sync;
 
@@ -678,11 +680,13 @@ pub struct JobReport {
     pub recovery: RecoveryStats,
 }
 
-/// Cycles per wall-limit check; small enough to bound overshoot, large
-/// enough to amortize the `Instant::now` call. The lane-fused group
-/// executor in the runner and the service scheduler's preemption
-/// granularity use the same slice so their cycle accounting lines up
-/// with the single-job path.
+/// Cycles per [`RunningJob`] slice: the single-shot executor checks its
+/// wall-clock limit and applies its retry policy between slices, a
+/// lane-fused batch unit advances its
+/// [`LaneGroup`](crate::preempt::LaneGroup) one slice at a time, and the
+/// service scheduler preempts at the same granularity by default. Small
+/// enough to bound overshoot, large enough to amortize the `Instant::now`
+/// call.
 pub const SLICE_CYCLES: u64 = 1024;
 
 /// Executes a job to completion on the calling thread, returning the
@@ -693,7 +697,7 @@ pub(crate) fn run(job: &Job) -> (Result<JobOutput, JobFault>, RecoveryStats) {
         return (Err(JobFault::Config(msg.clone())), RecoveryStats::default());
     }
     match &job.work {
-        JobWork::Machine(machine) => run_machine(machine, job),
+        JobWork::Machine(_) => run_machine(job),
         JobWork::Custom(work) => run_custom(work, job),
     }
 }
@@ -747,147 +751,76 @@ fn run_custom(work: &CustomFn, spec: &Job) -> (Result<JobOutput, JobFault>, Reco
     }
 }
 
-/// Executes a machine job to completion on the calling thread.
+/// Executes a machine job to completion on the calling thread: a
+/// [`RunningJob`] advanced one [`SLICE_CYCLES`] slice at a time, with the
+/// wall-clock limit checked before each slice, then finished.
 ///
 /// Recovery loop: a post-setup [`systolic_ring_core::Checkpoint`] is
 /// taken when the retry policy is active; a detected fault mid-run rolls
 /// the machine back to it, optionally remaps a stuck Dnode onto a spare,
 /// re-salts the transient fault streams and re-runs. The cycle budget is
-/// accounted against `m.cycle()` so a rollback refunds the cycles of the
-/// abandoned attempt.
-fn run_machine(job: &MachineJob, spec: &Job) -> (Result<JobOutput, JobFault>, RecoveryStats) {
-    let mut recovery = RecoveryStats::default();
-    let result = run_machine_inner(job, spec, &mut recovery);
-    recovery.recovered = result.is_ok() && recovery.faults_detected > 0;
-    (result, recovery)
-}
-
-/// Builds, configures and wires a machine for a machine job: the shared
-/// prefix of the single-job executor and the runner's lane-fused group
-/// path, so the two construct bit-identical machines by construction.
-pub(crate) fn build_machine(
-    job: &MachineJob,
-    faults: Option<FaultConfig>,
-) -> Result<RingMachine, JobFault> {
-    let mut params = job.params;
-    if let Some(cfg) = faults {
-        params = params.with_faults(cfg);
-    }
-    let mut m = RingMachine::new(job.geometry, params);
-    match &job.setup {
-        JobSetup::Object(object) => {
-            m.load(object)
-                .map_err(|e| JobFault::Config(e.to_string()))?;
-            if let Some(proof) = &job.proof {
-                // Hash-validated: a stale or foreign manifest is refused
-                // and the machine simply keeps its runtime guards.
-                m.attach_proof(proof);
-            }
-        }
-        JobSetup::Configure(setup) => setup(&mut m).map_err(|e| JobFault::Config(e.to_string()))?,
-    }
-    for sink in &job.sinks {
-        m.open_sink(sink.switch, sink.port)
-            .map_err(|e| JobFault::Config(e.to_string()))?;
-    }
-    for input in &job.inputs {
-        m.attach_input(input.switch, input.port, input.words.iter().copied())
-            .map_err(|e| JobFault::Config(e.to_string()))?;
-    }
-    Ok(m)
-}
-
-fn run_machine_inner(
-    job: &MachineJob,
-    spec: &Job,
-    recovery: &mut RecoveryStats,
-) -> Result<JobOutput, JobFault> {
+/// accounted against the machine's cycle, so a rollback refunds the
+/// cycles of the abandoned attempt.
+fn run_machine(spec: &Job) -> (Result<JobOutput, JobFault>, RecoveryStats) {
     let started = Instant::now();
-    let mut m = build_machine(job, spec.faults)?;
-
-    let mut checkpoint = spec.retry.is_active().then(|| m.checkpoint());
-    let mut attempt: u32 = 0;
-    let max_cycles = match job.budget {
-        CycleBudget::Cycles(n) => n,
-        CycleBudget::UntilHalt { max_cycles } => max_cycles,
+    let mut recovery = RecoveryStats::default();
+    let mut job = match RunningJob::launch(spec) {
+        Ok(job) => job,
+        Err(fault) => return (Err(fault), recovery),
     };
-    while m.cycle() < max_cycles {
-        if let CycleBudget::UntilHalt { .. } = job.budget {
-            if m.controller().is_halted() {
-                break;
-            }
-        }
+    let mut checkpoint = spec.retry.is_active().then(|| job.machine.checkpoint());
+    let mut attempt: u32 = 0;
+    while !job.is_done() {
         if let Some(limit) = spec.wall_limit {
             if started.elapsed() >= limit {
-                return Err(JobFault::WallLimit { limit });
+                return (Err(JobFault::WallLimit { limit }), recovery);
             }
         }
-        let slice = SLICE_CYCLES.min(max_cycles - m.cycle());
-        let stepped = match job.budget {
-            CycleBudget::Cycles(_) => m.run(slice),
-            // Delegate the slice to the machine's own halt-aware runner
-            // so the two agree on budget-boundary accounting by
-            // construction: a `CycleLimit` on the slice means exactly
-            // `slice` cycles ran (never a partial step), and a halt
-            // stops the count on the halt's own cycle.
-            CycleBudget::UntilHalt { .. } => match m.run_until_halt(slice) {
-                Ok(_) | Err(SimError::CycleLimit { .. }) => Ok(()),
-                Err(e) => Err(e),
-            },
+        job.advance(SLICE_CYCLES);
+        let Some(e) = job.error.take() else {
+            continue;
         };
-        if let Err(e) = stepped {
-            if e.is_detected_fault() {
-                recovery.faults_detected += 1;
-                if let Some(ckpt) = checkpoint.as_mut() {
-                    if attempt < spec.retry.max_retries {
-                        attempt += 1;
-                        recovery.retries += 1;
-                        m.restore(ckpt);
-                        if spec.retry.remap {
-                            if let SimError::DatapathFault {
-                                site: FaultSite::StuckOut { dnode },
-                                ..
-                            } = e
-                            {
-                                let (layer, _) = m.geometry().dnode_position(dnode);
-                                if let Some(spare) = m.find_spare(layer) {
-                                    if m.remap_dnode(dnode, spare).is_ok() {
-                                        recovery.remaps += 1;
-                                        // The repair is permanent: fold it
-                                        // into the rollback point so later
-                                        // retries keep it.
-                                        *ckpt = m.checkpoint();
-                                    }
-                                }
-                            }
-                        }
-                        m.rearm_faults(u64::from(attempt));
-                        sleep_backoff(spec.retry.delay(attempt));
-                        continue;
+        if !e.is_detected_fault() {
+            break;
+        }
+        recovery.faults_detected += 1;
+        let Some(ckpt) = checkpoint
+            .as_mut()
+            .filter(|_| attempt < spec.retry.max_retries)
+        else {
+            break;
+        };
+        attempt += 1;
+        recovery.retries += 1;
+        job.fault = None;
+        let m = &mut job.machine;
+        m.restore(ckpt);
+        if spec.retry.remap {
+            if let SimError::DatapathFault {
+                site: FaultSite::StuckOut { dnode },
+                ..
+            } = e
+            {
+                let (layer, _) = m.geometry().dnode_position(dnode);
+                if let Some(spare) = m.find_spare(layer) {
+                    if m.remap_dnode(dnode, spare).is_ok() {
+                        recovery.remaps += 1;
+                        // The repair is permanent: fold it into the
+                        // rollback point so later retries keep it.
+                        *ckpt = m.checkpoint();
                     }
                 }
             }
-            return Err(JobFault::Sim(e.to_string()));
         }
+        m.rearm_faults(u64::from(attempt));
+        sleep_backoff(spec.retry.delay(attempt));
     }
-    if let CycleBudget::UntilHalt { max_cycles } = job.budget {
-        if !m.controller().is_halted() {
-            return Err(JobFault::Diverged { max_cycles });
-        }
-    }
-
-    let mut outputs = Vec::with_capacity(job.sinks.len());
-    for sink in &job.sinks {
-        let words = m
-            .take_sink(sink.switch, sink.port)
-            .map_err(|e| JobFault::Config(e.to_string()))?;
-        outputs.push(words.into_iter().map(|w| w.as_i16()).collect());
-    }
-    Ok(JobOutput {
-        outputs,
-        cycles: m.cycle(),
-        stats: m.stats().clone(),
-    })
+    let result = match job.finish() {
+        JobOutcome::Completed(out) => Ok(out),
+        JobOutcome::Fault(fault) => Err(fault),
+    };
+    recovery.recovered = result.is_ok() && recovery.faults_detected > 0;
+    (result, recovery)
 }
 
 #[cfg(test)]
@@ -961,6 +894,29 @@ mod tests {
         };
         assert_eq!(m.inputs.len(), 1);
         assert_eq!(m.sinks.len(), 1);
+    }
+
+    /// The wall-clock limit is checked before every slice of a machine
+    /// job: an elapsed limit fails the job before it runs a cycle, and a
+    /// limit that never elapses changes nothing about the result.
+    #[test]
+    fn machine_job_wall_limit_is_checked_per_slice() {
+        let expired = counting_job(3 * SLICE_CYCLES).with_wall_limit(Duration::ZERO);
+        let (result, recovery) = run(&expired);
+        assert_eq!(
+            result,
+            Err(JobFault::WallLimit {
+                limit: Duration::ZERO
+            })
+        );
+        assert!(recovery.is_clean());
+
+        let unlimited = run(&counting_job(3 * SLICE_CYCLES)).0.expect("runs");
+        let generous = counting_job(3 * SLICE_CYCLES).with_wall_limit(Duration::from_secs(3600));
+        let limited = run(&generous).0.expect("runs within the limit");
+        assert_eq!(limited.outputs, unlimited.outputs);
+        assert_eq!(limited.cycles, unlimited.cycles);
+        assert_eq!(limited.stats, unlimited.stats);
     }
 
     #[test]

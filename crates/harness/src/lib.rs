@@ -15,21 +15,22 @@
 //!   self-contained workload closure,
 //! * [`runner`] — a [`BatchRunner`] shards jobs
 //!   across `std::thread::available_parallelism()` workers with
-//!   work-stealing, captures panics and faults per job (a diverging or
-//!   panicking job yields a fault report, never poisons the batch) and
-//!   aggregates per-job [`Stats`](systolic_ring_core::Stats) into a
-//!   batch-level summary,
+//!   work-stealing, packs identical-object jobs into lane-fused
+//!   [`LaneGroup`]s by the service's grouping rule, captures panics and
+//!   faults per job (a diverging or panicking job yields a fault report,
+//!   never poisons the batch) and aggregates per-job
+//!   [`Stats`](systolic_ring_core::Stats) into a batch-level summary,
 //! * [`conformance`] — the four-tier ISA conformance runner: walks the
 //!   literate program corpus (`programs/*.sr`, `programs/*.sr.md`),
 //!   lints every object, executes it on the slow/decoded/fused/aot tiers and
 //!   judges sink expectations, cycle budgets and cross-tier
 //!   bit-equality (CLI: `srconform`),
-//! * [`preempt`] — incremental, checkpoint-preemptible execution of the
-//!   same jobs: a [`preempt::RunningJob`] advances slice by
-//!   slice with bit-identical results to the single-shot path, suspends
-//!   into a checkpoint and resumes later; a
-//!   [`preempt::LaneGroup`] keeps many such jobs in fused
-//!   lockstep — the execution layer under the multi-tenant service,
+//! * [`preempt`] — the one machine-job executor: a
+//!   [`preempt::RunningJob`] advances slice by slice, suspends into a
+//!   checkpoint and resumes later with bit-identical results; a
+//!   [`preempt::LaneGroup`] keeps many such jobs in fused lockstep. The
+//!   single-shot path, the batch runner's lane-fused units and the
+//!   multi-tenant service all execute on these two types,
 //! * [`admission`] — the service's bounded front door: per-tenant
 //!   quotas, a global queue cap, interactive-over-batch priority,
 //!   deterministic retry-after backpressure hints and a terminal drain

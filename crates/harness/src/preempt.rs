@@ -1,17 +1,21 @@
-//! Incremental, checkpoint-preemptible job execution.
+//! Incremental, checkpoint-preemptible job execution: the harness's only
+//! machine-job executor.
 //!
-//! The batch [`runner`](crate::runner) owns a job from start to finish:
-//! `run()` returns only when the job is done. A multi-tenant service
-//! cannot afford that — a long batch job must *yield* the shared pool to
-//! interactive traffic and come back later without losing work or
-//! changing its answer. This module splits job execution into resumable
-//! pieces:
+//! Every machine job runs on the types here. The single-shot executor
+//! behind [`BatchRunner`](crate::runner::BatchRunner) and the conformance
+//! runner starts a [`RunningJob`], advances it one [`SLICE_CYCLES`] slice
+//! at a time (checking its wall-clock limit and applying its retry policy
+//! between slices) and finishes it; a lane-fused batch unit and a service
+//! unit are both a [`LaneGroup`] grouped by [`group_eligible`] and
+//! [`groupable`]. Because a job is resumable between any two calls, a
+//! multi-tenant service can make a long batch job *yield* the shared pool
+//! to interactive traffic and come back later without losing work or
+//! changing its answer:
 //!
-//! * [`RunningJob`] — one machine job being executed slice by slice.
-//!   [`RunningJob::advance`] uses the same [`SLICE_CYCLES`] loop, the
-//!   same budget-boundary accounting and the same sink-drain order as the
-//!   single-shot executor, so an interrupted run is bit-identical to an
-//!   uninterrupted one by construction.
+//! * [`RunningJob`] — one machine job being executed slice by slice. Its
+//!   [`RunningJob::advance`] owns the budget-boundary accounting and its
+//!   [`RunningJob::finish`] the sink drain, so an interrupted run is
+//!   bit-identical to an uninterrupted one by construction.
 //! * [`SuspendedJob`] — a parked job: a
 //!   [`systolic_ring_core::Checkpoint`] plus the job metadata
 //!   needed to resume. The live machine is dropped at suspension —
@@ -20,10 +24,9 @@
 //!   where the old one stopped (sink buffers and partially consumed input
 //!   streams travel inside the checkpoint image).
 //! * [`LaneGroup`] — up to [`MAX_LANES`](crate::runner::MAX_LANES)
-//!   running jobs stepped in cycle lockstep through shared fused bursts,
-//!   mirroring the runner's lane-fused group path. A lane that faults is
-//!   detached and the survivors continue; the whole group can be
-//!   suspended between slices and resumed lane by lane.
+//!   running jobs stepped in cycle lockstep through shared fused bursts.
+//!   A lane that faults is detached and the survivors continue; the whole
+//!   group can be suspended between slices and resumed lane by lane.
 //!
 //! # What preemption does and does not change
 //!
@@ -46,15 +49,15 @@
 //! checkpoint whose interaction with external suspension is deliberately
 //! out of scope — a service retries at the admission layer instead (see
 //! [`RetryPolicy::delay`](crate::job::RetryPolicy::delay) for the
-//! client-side schedule). Wall-clock limits are the *caller's* job here:
-//! a scheduler checks deadlines between [`RunningJob::advance`] calls,
-//! where it also makes its preemption decisions.
+//! client-side schedule), and only the single-shot executor, which never
+//! suspends, starts retrying jobs. Wall-clock limits are the *caller's*
+//! job here: a scheduler checks deadlines between [`RunningJob::advance`]
+//! calls, where it also makes its preemption decisions.
 
 use systolic_ring_core::{lockstep_burst, Checkpoint, RingMachine, SimError};
 
 use crate::job::{
-    build_machine, CycleBudget, Job, JobFault, JobOutcome, JobOutput, JobSetup, JobWork, SinkRef,
-    SLICE_CYCLES,
+    CycleBudget, Job, JobFault, JobOutcome, JobOutput, JobSetup, JobWork, SinkRef, SLICE_CYCLES,
 };
 
 /// `true` when `job` can be executed preemptibly by [`RunningJob::start`]:
@@ -65,51 +68,58 @@ pub fn preemptible(job: &Job) -> bool {
         && matches!(job.work, JobWork::Machine(_))
 }
 
-/// `true` when `job` may share a [`LaneGroup`] with other jobs: an
-/// assembled-object machine job with a fixed `Cycles(n)` budget (and
-/// preemptible at all). Fault injection and watchdogs do *not* disqualify
-/// a job — an armed lane simply never enters the shared burst, so its
-/// lane-mates pay a throughput cost, never a correctness one.
+/// `true` when `job` may share a [`LaneGroup`] with other jobs — the one
+/// grouping rule of the batch runner and the service scheduler.
+///
+/// Eligible means the outcome is a pure function of (configuration,
+/// inputs) with no per-job execution policy attached: a preemptible
+/// assembled-object machine job with a fixed `Cycles(n)` budget, the
+/// fused engine and decode cache on, and no fault injection (neither
+/// [`Job::faults`] nor armed `params.faults`), watchdog or wall limit.
+/// An armed lane makes [`lockstep_burst`] refuse the whole group, so such
+/// jobs run as their own unit instead of costing lane-mates every burst.
 pub fn group_eligible(job: &Job) -> bool {
-    if !preemptible(job) {
-        return false;
-    }
     let JobWork::Machine(mj) = &job.work else {
         return false;
     };
-    matches!(mj.setup, JobSetup::Object(_)) && matches!(mj.budget, CycleBudget::Cycles(_))
+    let p = &mj.params;
+    preemptible(job)
+        && job.faults.is_none()
+        && job.wall_limit.is_none()
+        && matches!(mj.setup, JobSetup::Object(_))
+        && matches!(mj.budget, CycleBudget::Cycles(_))
+        && p.fused
+        && p.decode_cache
+        && p.watchdog_interval == 0
+        && !p.faults.is_active()
 }
 
 /// `true` when two [`group_eligible`] jobs belong in the same
-/// [`LaneGroup`]: same geometry, same machine parameters *excluding the
-/// per-job fault configuration*, same budget, same object program.
-/// Normalizing faults out of the key is what lets a chaos tenant's jobs
-/// pack with clean tenants' — isolation is the group's problem, not the
-/// scheduler's (see [`LaneGroup`]).
+/// [`LaneGroup`]: same geometry, machine parameters, budget and object
+/// program. Inputs and sinks are per-lane state and may differ.
 pub fn groupable(a: &Job, b: &Job) -> bool {
     let (JobWork::Machine(x), JobWork::Machine(y)) = (&a.work, &b.work) else {
         return false;
     };
-    if x.geometry != y.geometry
-        || x.budget != y.budget
-        || x.params.with_faults(Default::default()) != y.params.with_faults(Default::default())
-    {
-        return false;
-    }
-    match (&x.setup, &y.setup) {
-        (JobSetup::Object(p), JobSetup::Object(q)) => p == q,
-        _ => false,
-    }
+    x.geometry == y.geometry
+        && x.params == y.params
+        && x.budget == y.budget
+        && matches!((&x.setup, &y.setup), (JobSetup::Object(p), JobSetup::Object(q)) if p == q)
 }
 
 /// One machine job being executed incrementally on the caller's thread.
 #[derive(Debug)]
 pub struct RunningJob {
     name: String,
-    machine: RingMachine,
+    pub(crate) machine: RingMachine,
     sinks: Vec<SinkRef>,
     budget: CycleBudget,
-    fault: Option<JobFault>,
+    pub(crate) fault: Option<JobFault>,
+    /// The simulator error behind a [`JobFault::Sim`] latched by
+    /// [`RunningJob::advance`], kept so the single-shot executor can
+    /// classify it and repair a stuck Dnode before a retry. Retrying jobs
+    /// never suspend, so it does not travel through a checkpoint.
+    pub(crate) error: Option<SimError>,
 }
 
 impl RunningJob {
@@ -129,18 +139,57 @@ impl RunningJob {
                 "retry policies cannot run preemptibly: retry at the admission layer".into(),
             ));
         }
+        RunningJob::launch(job)
+    }
+
+    /// [`RunningJob::start`] without the builder-error and retry-policy
+    /// rejections: the single-shot executor checks the former itself and
+    /// applies the retry policy between slices. Builds, configures and
+    /// wires the machine (object load and proof, or the setup closure;
+    /// sinks; input streams).
+    pub(crate) fn launch(job: &Job) -> Result<RunningJob, JobFault> {
         let JobWork::Machine(mj) = &job.work else {
             return Err(JobFault::Config(
                 "custom jobs own their machines and cannot be checkpoint-preempted".into(),
             ));
         };
-        let machine = build_machine(mj, job.faults)?;
+        let mut params = mj.params;
+        if let Some(cfg) = job.faults {
+            params = params.with_faults(cfg);
+        }
+        let mut machine = RingMachine::new(mj.geometry, params);
+        match &mj.setup {
+            JobSetup::Object(object) => {
+                machine
+                    .load(object)
+                    .map_err(|e| JobFault::Config(e.to_string()))?;
+                if let Some(proof) = &mj.proof {
+                    // Hash-validated: a stale or foreign manifest is refused
+                    // and the machine simply keeps its runtime guards.
+                    machine.attach_proof(proof);
+                }
+            }
+            JobSetup::Configure(setup) => {
+                setup(&mut machine).map_err(|e| JobFault::Config(e.to_string()))?
+            }
+        }
+        for sink in &mj.sinks {
+            machine
+                .open_sink(sink.switch, sink.port)
+                .map_err(|e| JobFault::Config(e.to_string()))?;
+        }
+        for input in &mj.inputs {
+            machine
+                .attach_input(input.switch, input.port, input.words.iter().copied())
+                .map_err(|e| JobFault::Config(e.to_string()))?;
+        }
         Ok(RunningJob {
             name: job.name.clone(),
             machine,
             sinks: mj.sinks.clone(),
             budget: mj.budget,
             fault: None,
+            error: None,
         })
     }
 
@@ -186,13 +235,14 @@ impl RunningJob {
         self.fault.as_ref()
     }
 
-    /// Runs up to `cycles` more cycles, returning the cycles actually
-    /// executed (less than requested when the job completes, halts or
-    /// faults first). Identical slice semantics to the single-shot
-    /// executor: `Cycles(n)` budgets drive [`RingMachine::run`],
-    /// `UntilHalt` budgets delegate each slice to
-    /// [`RingMachine::run_until_halt`] so budget-boundary accounting
-    /// agrees by construction. A fault is latched; further calls return 0.
+    /// Runs up to `cycles` more cycles in [`SLICE_CYCLES`] slices,
+    /// returning the cycles actually executed (less than requested when
+    /// the job completes, halts or faults first). `Cycles(n)` budgets
+    /// drive [`RingMachine::run`]; `UntilHalt` budgets delegate each slice
+    /// to [`RingMachine::run_until_halt`], so budget-boundary accounting
+    /// agrees with it by construction: a `CycleLimit` on a slice means
+    /// exactly that slice ran, and a halt stops the count on the halt's
+    /// own cycle. A fault is latched; further calls return 0.
     pub fn advance(&mut self, cycles: u64) -> u64 {
         let start = self.machine.cycle();
         let deadline = start.saturating_add(cycles).min(self.max_cycles());
@@ -212,6 +262,7 @@ impl RunningJob {
             };
             if let Err(e) = stepped {
                 self.fault = Some(JobFault::Sim(e.to_string()));
+                self.error = Some(e);
             }
         }
         if self.fault.is_none() {
@@ -240,8 +291,8 @@ impl RunningJob {
     }
 
     /// Consumes the job and produces its outcome: the latched fault, or
-    /// the drained sink outputs of a completed run (same drain order and
-    /// error mapping as the batch runner). Calling this before
+    /// the drained sink outputs of a completed run, one vector per sink in
+    /// declaration order. Calling this before
     /// [`RunningJob::is_done`] is a scheduler bug and reports a
     /// [`JobFault::Workload`] rather than a truncated result.
     pub fn finish(mut self) -> JobOutcome {
@@ -302,22 +353,24 @@ impl SuspendedJob {
             sinks: self.sinks,
             budget: self.budget,
             fault: self.fault,
+            error: None,
         }
     }
 }
 
-/// A cycle-synchronized set of [`RunningJob`]s sharing fused bursts.
+/// A cycle-synchronized set of [`RunningJob`]s sharing fused bursts: a
+/// lane-fused batch unit of the runner, or a packed unit of the service.
 ///
-/// Mirrors the batch runner's lane-fused group execution: per slice,
-/// every live lane first advances through one shared
-/// [`lockstep_burst`], then runs the remainder of the slice through its
-/// own single-lane path (which may itself fuse). `lockstep_burst`
-/// verifies program/phase identity across lanes at entry and refuses
-/// (returning 0) otherwise, so grouping incompatible or fault-armed
-/// lanes costs throughput, never correctness — this is the mechanism
-/// behind per-tenant fault isolation: a chaos tenant's lane never
-/// enters the shared burst while armed, faults on its own single-lane
-/// path, and is detached without its lane-mates ever observing it.
+/// Per advance, every live lane first advances through one shared
+/// [`lockstep_burst`], then runs the remainder through its own
+/// single-lane path (which may itself fuse). `lockstep_burst` verifies
+/// program/phase identity across lanes at entry and refuses (returning 0)
+/// otherwise, so a mismatched or fault-armed lane costs the whole group
+/// its shared bursts but never correctness. That is why
+/// [`group_eligible`] keeps armed jobs out of groups, and why a group
+/// built by hand with an armed lane still isolates it: the armed lane
+/// faults on its own single-lane path and is detached without its
+/// lane-mates ever observing it.
 ///
 /// Lanes are expected to share a `Cycles(n)` budget and start cycle (the
 /// [`groupable`] key guarantees this); misaligned lanes still execute
@@ -697,10 +750,11 @@ mod tests {
         let baselines: Vec<JobOutcome> = clean.iter().map(outcome_of).collect();
 
         // A chaos job with a fault rate high enough to fault well within
-        // the budget; groupable with the clean jobs despite the armed
-        // injector, because faults are normalized out of the group key.
+        // the budget. Schedulers never group it (its armed lane would
+        // block every shared burst), so the mixed group is built by hand
+        // to keep per-lane fault isolation inside a group tested.
         let chaos = stream_job("chaos", 999, budget).with_faults(FaultConfig::uniform(3, 20_000));
-        assert!(group_eligible(&chaos));
+        assert!(!group_eligible(&chaos));
         assert!(groupable(&clean[0], &chaos));
 
         let mut lanes: Vec<RunningJob> = clean

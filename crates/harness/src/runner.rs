@@ -11,12 +11,14 @@
 //! jobs that load an *identical* object program onto identically sized
 //! machines with the same `Cycles(n)` budget — the shape of a parameter
 //! sweep, where only the input streams differ — are grouped into one
-//! execution unit of up to [`MAX_LANES`] lanes. The group steps all its
-//! machines in lockstep through shared fused bursts
-//! ([`systolic_ring_core::lockstep_burst`]), amortizing the compiled
-//! schedule walk across the whole group; whatever the burst cannot cover
-//! (warmup, controller activity) runs per machine through the ordinary
-//! single-lane path. Outcomes are bit-identical to running each job
+//! execution unit of up to [`MAX_LANES`] lanes, under the same
+//! [`group_eligible`]/[`groupable`] rule the service scheduler packs by.
+//! The unit is a [`LaneGroup`]: it steps all its machines in lockstep
+//! through shared fused bursts ([`systolic_ring_core::lockstep_burst`]),
+//! amortizing the compiled schedule walk across the whole group; whatever
+//! the burst cannot cover (warmup, controller activity) runs per machine
+//! through the ordinary single-lane path. Every other job runs alone on a
+//! [`RunningJob`] too, so outcomes are bit-identical to running each job
 //! alone — [`BatchRunner::run_serial`] stays the reference.
 //!
 //! Fault isolation: a job that returns a simulator fault, exceeds its
@@ -30,12 +32,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use systolic_ring_core::{lockstep_burst, RingMachine, Stats};
+use systolic_ring_core::Stats;
 
-use crate::job::{
-    build_machine, CycleBudget, Job, JobFault, JobOutcome, JobOutput, JobReport, JobSetup, JobWork,
-    MachineJob, RecoveryStats, SLICE_CYCLES,
-};
+use crate::job::{Job, JobFault, JobOutcome, JobReport, RecoveryStats, SLICE_CYCLES};
+use crate::preempt::{group_eligible, groupable, LaneGroup, RunningJob};
 
 /// Maximum machines stepped in lockstep by one fused group.
 pub const MAX_LANES: usize = 16;
@@ -210,74 +210,32 @@ enum Unit {
     Group(Vec<usize>),
 }
 
-/// The machine job behind `job` when it is eligible for lane fusion.
-///
-/// Eligible means the outcome is a pure function of (configuration,
-/// inputs) with no per-job execution policy attached: an assembled-object
-/// setup, a fixed `Cycles(n)` budget, the fused engine enabled, and no
-/// fault injection, watchdog, retry policy, wall limit or deferred
-/// builder error. Everything else takes the single-job path unchanged.
-fn lane_candidate(job: &Job) -> Option<&MachineJob> {
-    if job.wall_limit.is_some()
-        || job.faults.is_some()
-        || job.retry.is_active()
-        || job.builder_error().is_some()
-    {
-        return None;
-    }
-    let JobWork::Machine(mj) = &job.work else {
-        return None;
-    };
-    if !matches!(mj.setup, JobSetup::Object(_)) || !matches!(mj.budget, CycleBudget::Cycles(_)) {
-        return None;
-    }
-    let p = &mj.params;
-    if !p.fused || !p.decode_cache || p.watchdog_interval != 0 || p.faults.is_active() {
-        return None;
-    }
-    Some(mj)
-}
-
-/// `true` when two eligible machine jobs can share one fused group:
-/// same geometry, same machine parameters, same budget and the same
-/// object program. Inputs and sinks are per-lane state and may differ.
-fn same_lane_group(a: &MachineJob, b: &MachineJob) -> bool {
-    if a.geometry != b.geometry || a.params != b.params || a.budget != b.budget {
-        return false;
-    }
-    match (&a.setup, &b.setup) {
-        (JobSetup::Object(x), JobSetup::Object(y)) => x == y,
-        _ => false,
-    }
-}
-
-/// Partitions a batch into execution units, bucketing lane-eligible jobs
-/// by machine configuration. Buckets cap at [`MAX_LANES`]; a bucket that
+/// Partitions a batch into execution units, bucketing [`group_eligible`]
+/// jobs by [`groupable`]. Buckets cap at [`MAX_LANES`]; a bucket that
 /// ends up with a single member is demoted back to a plain single unit.
 fn plan_units(jobs: &[Job]) -> Vec<Unit> {
     let mut units: Vec<Unit> = Vec::new();
-    // (representative index, members) — linear scan is fine: batch sizes
-    // are small and the group key has no cheap hash.
-    let mut buckets: Vec<(usize, Vec<usize>)> = Vec::new();
+    // Members per bucket, the first one representative — linear scan is
+    // fine: batch sizes are small and the group key has no cheap hash.
+    let mut buckets: Vec<Vec<usize>> = Vec::new();
     for (index, job) in jobs.iter().enumerate() {
         if job.builder_error().is_some() {
             // Rejected before scheduling; its report slot is pre-filled.
             continue;
         }
-        let Some(mj) = lane_candidate(job) else {
+        if !group_eligible(job) {
             units.push(Unit::Single(index));
             continue;
-        };
-        let bucket = buckets.iter_mut().find(|(rep, members)| {
-            members.len() < MAX_LANES
-                && same_lane_group(lane_candidate(&jobs[*rep]).expect("representative"), mj)
-        });
+        }
+        let bucket = buckets
+            .iter_mut()
+            .find(|members| members.len() < MAX_LANES && groupable(&jobs[members[0]], job));
         match bucket {
-            Some((_, members)) => members.push(index),
-            None => buckets.push((index, vec![index])),
+            Some(members) => members.push(index),
+            None => buckets.push(vec![index]),
         }
     }
-    for (_, members) in buckets {
+    for members in buckets {
         if members.len() > 1 {
             units.push(Unit::Group(members));
         } else {
@@ -287,13 +245,29 @@ fn plan_units(jobs: &[Job]) -> Vec<Unit> {
     units
 }
 
-/// Executes a lane-fused group, falling back to isolated per-job
-/// execution when any machine fails to build or the group panics. The
-/// fallback re-runs every member from scratch, so a panic costs the
-/// group one wasted partial run but never a wrong result.
+/// Executes a lane-fused group as one [`LaneGroup`] advanced a
+/// [`SLICE_CYCLES`] slice at a time until every lane is done, falling back
+/// to isolated per-job execution when any machine fails to build (so each
+/// job reports its own error) or the group panics. The fallback re-runs
+/// every member from scratch, so a panic costs the group one wasted
+/// partial run but never a wrong result.
 fn execute_group(indices: &[usize], jobs: &[Job]) -> Vec<JobReport> {
     let started = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(|| run_lane_group(indices, jobs)));
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let lanes = indices
+            .iter()
+            .map(|&index| RunningJob::start(&jobs[index]))
+            .collect::<Result<Vec<_>, _>>()
+            .ok()?;
+        let mut group = LaneGroup::new(lanes);
+        while group.advance(SLICE_CYCLES) > 0 {}
+        let outcomes: Vec<JobOutcome> = group
+            .into_lanes()
+            .into_iter()
+            .map(RunningJob::finish)
+            .collect();
+        Some(outcomes)
+    }));
     match result {
         Ok(Some(outcomes)) => {
             // Per-lane wall time is the group's elapsed time split evenly:
@@ -316,94 +290,6 @@ fn execute_group(indices: &[usize], jobs: &[Job]) -> Vec<JobReport> {
             .map(|&index| execute(index, &jobs[index]))
             .collect(),
     }
-}
-
-/// Runs a group of identically configured machine jobs in lockstep.
-///
-/// Per [`SLICE_CYCLES`] slice, every live lane first advances through one
-/// shared fused burst ([`lockstep_burst`]), then runs whatever remains of
-/// the slice through its own single-lane path (which may itself fuse).
-/// Every live lane therefore advances exactly `slice` cycles per
-/// iteration, keeping the group cycle-synchronized — the precondition for
-/// the next shared burst. A lane that faults is detached (its outcome
-/// recorded) and never stepped again; the survivors continue.
-///
-/// Returns `None` if any machine fails to build, in which case the caller
-/// re-runs the jobs individually so each reports its own error.
-fn run_lane_group(indices: &[usize], jobs: &[Job]) -> Option<Vec<JobOutcome>> {
-    let mjs: Vec<&MachineJob> = indices
-        .iter()
-        .map(|&i| lane_candidate(&jobs[i]).expect("group members are eligible"))
-        .collect();
-    let mut machines: Vec<RingMachine> = Vec::with_capacity(mjs.len());
-    for mj in &mjs {
-        machines.push(build_machine(mj, None).ok()?);
-    }
-    let CycleBudget::Cycles(max_cycles) = mjs[0].budget else {
-        unreachable!("lane groups use fixed budgets");
-    };
-
-    let mut done: Vec<Option<JobOutcome>> = vec![None; machines.len()];
-    // Runs until every lane faulted or the (shared) budget is reached.
-    while let Some(cycle) = machines
-        .iter()
-        .zip(&done)
-        .find(|(_, d)| d.is_none())
-        .map(|(m, _)| m.cycle())
-    {
-        if cycle >= max_cycles {
-            break;
-        }
-        let slice = SLICE_CYCLES.min(max_cycles - cycle);
-        let burst = {
-            let mut lanes: Vec<&mut RingMachine> = machines
-                .iter_mut()
-                .zip(&done)
-                .filter(|(_, d)| d.is_none())
-                .map(|(m, _)| m)
-                .collect();
-            lockstep_burst(&mut lanes, slice)
-        };
-        for (m, d) in machines.iter_mut().zip(done.iter_mut()) {
-            if d.is_some() {
-                continue;
-            }
-            let rest = slice - burst;
-            if rest > 0 {
-                if let Err(e) = m.run(rest) {
-                    *d = Some(JobOutcome::Fault(JobFault::Sim(e.to_string())));
-                }
-            }
-        }
-    }
-
-    let mut outcomes = Vec::with_capacity(machines.len());
-    for ((mut m, d), mj) in machines.into_iter().zip(done).zip(&mjs) {
-        if let Some(outcome) = d {
-            outcomes.push(outcome);
-            continue;
-        }
-        let mut outputs = Vec::with_capacity(mj.sinks.len());
-        let mut failed = None;
-        for sink in &mj.sinks {
-            match m.take_sink(sink.switch, sink.port) {
-                Ok(words) => outputs.push(words.into_iter().map(|w| w.as_i16()).collect()),
-                Err(e) => {
-                    failed = Some(JobFault::Config(e.to_string()));
-                    break;
-                }
-            }
-        }
-        outcomes.push(match failed {
-            Some(fault) => JobOutcome::Fault(fault),
-            None => JobOutcome::Completed(JobOutput {
-                outputs,
-                cycles: m.cycle(),
-                stats: m.stats().clone(),
-            }),
-        });
-    }
-    Some(outcomes)
 }
 
 /// The result of one batch run.
@@ -873,13 +759,13 @@ mod tests {
     #[test]
     fn ineligible_jobs_stay_single() {
         let eligible = stream_job("ok", 0);
-        assert!(lane_candidate(&eligible).is_some());
+        assert!(group_eligible(&eligible));
         let with_retry = stream_job("retry", 0).with_retry(crate::job::RetryPolicy::retries(1));
-        assert!(lane_candidate(&with_retry).is_none());
+        assert!(!group_eligible(&with_retry));
         let with_wall = stream_job("wall", 0).with_wall_limit(std::time::Duration::from_secs(1000));
-        assert!(lane_candidate(&with_wall).is_none());
+        assert!(!group_eligible(&with_wall));
         let unfused = stream_job("unfused", 0).with_fused(false);
-        assert!(lane_candidate(&unfused).is_none());
-        assert!(lane_candidate(&mac_job("cfg", 10)).is_none());
+        assert!(!group_eligible(&unfused));
+        assert!(!group_eligible(&mac_job("cfg", 10)));
     }
 }

@@ -20,12 +20,13 @@
 //!    disappears without its client being told.
 //!
 //! Identical-object jobs from *different* tenants are packed into one
-//! fused [`LaneGroup`] of up to [`ServiceConfig::max_lanes`] lanes
-//! (the group key deliberately ignores per-job fault injection — see
-//! [`groupable`]), so a saturated service spends most of its cycles in
-//! shared lockstep bursts. Per-tenant fault isolation is inherited from
-//! the group contract: a fault-armed lane never enters the shared burst
-//! and a faulting lane detaches alone.
+//! fused [`LaneGroup`] of up to [`ServiceConfig::max_lanes`] lanes, by
+//! the same [`group_eligible`]/[`groupable`] rule as the batch runner, so
+//! a saturated service spends most of its cycles in shared lockstep
+//! bursts. Fault-armed and watchdog jobs run as their own unit: an armed
+//! lane would make every shared burst of its group refuse. Per-tenant
+//! fault isolation is inherited from the group contract: a faulting lane
+//! detaches alone.
 //!
 //! The same scheduler runs in two modes:
 //!

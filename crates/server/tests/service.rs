@@ -399,6 +399,51 @@ fn scripted_chaos_tenant_never_corrupts_lane_mates() {
     );
 }
 
+/// The service groups by the batch runner's rule: a fault-armed or
+/// watchdog job runs as its own unit, because one armed lane makes every
+/// shared burst of its group refuse. The clean jobs of the same object
+/// and budget pack into one unit and really share its bursts.
+#[test]
+fn scripted_armed_jobs_run_alone_so_clean_lanes_share_bursts() {
+    let budget = 4096;
+    let service = Service::new(ServiceConfig::default());
+    let mut clean = Vec::new();
+    for (i, tenant) in ["alice", "bob", "carol"].iter().enumerate() {
+        let job = stream_job(tenant, 10 * (i as i16 + 1), budget);
+        let ok = service
+            .submit(tenant, JobClass::Batch, job, None)
+            .expect("admitted");
+        clean.push(ok.ticket);
+    }
+    // Armed for detection only, so the lane never faults and would block
+    // its lane-mates' bursts for the whole budget if it were packed.
+    let armed = stream_job("mallory", 999, budget).with_faults(FaultConfig::detect_only(1));
+    let watched = stream_job("wendy", 500, budget).with_watchdog(1 << 20);
+    for (tenant, job) in [("mallory", armed), ("wendy", watched)] {
+        service
+            .submit(tenant, JobClass::Batch, job, None)
+            .expect("admitted");
+    }
+    service.run_idle();
+
+    // One 3-lane unit adds 2 x budget of occupancy over the cycles it
+    // advances; a unit of one adds none.
+    let stats = service.stats();
+    assert_eq!(stats.completed, 5);
+    assert_eq!(stats.occupancy_cycles - stats.advanced_cycles, 2 * budget);
+    for ticket in clean {
+        let JobOutcome::Completed(out) = done_outcome(service.status(ticket)) else {
+            panic!("clean job {ticket} did not complete");
+        };
+        assert!(
+            out.stats.fused_lane_occupancy > out.stats.fused_cycles,
+            "clean lane shared no burst: {} lane-cycles over {} fused cycles",
+            out.stats.fused_lane_occupancy,
+            out.stats.fused_cycles
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Threaded mode over TCP.
 // ---------------------------------------------------------------------
