@@ -265,7 +265,7 @@ fn batch_record(
 /// decoded tier, the fused tier with lane fusion off (single-lane
 /// bursts), the fused tier with up to 16-lane lockstep batching — the
 /// lane-fusion gain isolated from thread parallelism — and the aot tier
-/// (load-time superblock prefill, lane fusion off so the gain over
+/// (content-keyed superblock cache, lane fusion off so the gain over
 /// `fused_serial` is the AOT compiler alone).
 pub fn fused_batch(wall: Option<WallClock>) -> BenchFile {
     let (geometry, fused_jobs) = fir3_sweep(true);

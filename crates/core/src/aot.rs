@@ -1,4 +1,4 @@
-//! The ahead-of-time multi-phase superblock cache (the `aot` tier).
+//! The multi-phase superblock cache (the `aot` tier).
 //!
 //! The fused engine (see [`crate::fused`]) discovers steady-state windows
 //! at run time: it waits [`crate::fused::DETECTION_WINDOW`] stable cycles
@@ -11,27 +11,23 @@
 //! This module keeps a *cache of compiled programs keyed by configuration
 //! content* instead of a single program keyed by monotonic epochs:
 //!
-//! * **Load-time prefill.** [`RingMachine::load`] walks the controller
-//!   program over shadow state (controller + configuration layer only, no
-//!   datapath), applying configuration effects as it goes. Every steady
-//!   window it can prove — a `wait` of at least [`MIN_BURST`] cycles or a
-//!   `halt` — has its configuration snapshot compiled into the cache
-//!   before cycle 0. The walk is best-effort and conservative: it stops at
-//!   anything whose value it cannot know at load time (`busr`, `hpop`,
-//!   controller faults) and is bounded by a retire budget, so it is an
-//!   accelerator, never an oracle.
-//! * **Content-keyed guard.** At run time, entry into a compiled program
-//!   is guarded by the configuration *content* (every active-context
-//!   microinstruction, route, capture, mode and live sequencer slot), not
-//!   by the monotonic epochs: rewriting a context with identical words, or
-//!   cycling A→B→A, re-enters the cached program instead of deoptimizing.
-//!   The epoch fingerprint ([`crate::fused::FusedStamps`]) is kept as a
-//!   cheap revalidation — equal stamps prove the content (and therefore
-//!   the resolved cache entry) is unchanged without re-serializing it.
+//! * **Content-keyed guard.** Entry into a compiled program is guarded by
+//!   the configuration *content* (every active-context microinstruction,
+//!   route, capture, mode and live sequencer slot), compared word for word
+//!   against each cached key, not by the monotonic epochs: rewriting a
+//!   context with identical words, or cycling A→B→A, re-enters the cached
+//!   program instead of deoptimizing. The epoch fingerprint
+//!   ([`crate::fused::FusedStamps`]) is kept as a cheap revalidation —
+//!   equal stamps prove the content (and therefore the resolved cache
+//!   entry) is unchanged without re-serializing it.
 //! * **Guard stitching.** A guard miss ([`crate::Stats::aot_guard_misses`])
 //!   does not abandon compiled execution the way a fused deopt does: the
 //!   unseen configuration is compiled on the spot ([`crate::Stats::
 //!   aot_compiles`]) and entered immediately, with no re-detection window.
+//!   The cache starts empty at [`RingMachine::load`], so this is also how
+//!   every window is compiled the first time: the controller rewrites the
+//!   configuration layer while the ring runs, and the configuration a
+//!   window runs is only known when the window arrives.
 //! * **Schedule bursts.** A *running* controller does not force the
 //!   decoded path either, as long as it stays off the datapath: a
 //!   lookahead over a cloned controller admits every cycle whose
@@ -51,11 +47,10 @@
 //! sub-[`MIN_BURST`] windows, or controller instructions that touch the
 //! datapath (`busr`, `hpop`, `busw`, `hpush`, configuration writes).
 //!
-//! Because admission is by content equality, soundness never depends on
-//! the load-time walk being right: a stale or missing prefill entry can
-//! only cost a recompile, never a wrong result. Replay itself is the fused
-//! engine's [`crate::fused::execute`], so the two tiers share one compiled
-//! semantics and differ only in admission policy.
+//! Because admission is by content equality, a cached program only ever
+//! runs the exact configuration it was compiled from. Replay itself is
+//! the fused engine's [`crate::fused::execute`], so the two tiers share
+//! one compiled semantics and differ only in admission policy.
 //!
 //! # Watchdog interaction
 //!
@@ -69,8 +64,7 @@
 
 use std::cell::Cell;
 
-use systolic_ring_isa::dnode::{DnodeMode, MicroInstr};
-use systolic_ring_isa::switch::{HostCapture, PortSource};
+use systolic_ring_isa::dnode::DnodeMode;
 use systolic_ring_isa::{RingGeometry, Word16};
 
 use crate::config::ConfigLayer;
@@ -80,8 +74,6 @@ use crate::error::ConfigError;
 use crate::fused::{self, FusedProgram, FusedStamps, MIN_BURST};
 use crate::machine::RingMachine;
 use crate::params::LinkModel;
-use crate::plan::DecodedPlan;
-use crate::stats::Stats;
 
 /// Most compiled programs kept per machine. Conformance kernels use a
 /// handful of configuration phases; the cap is a backstop against
@@ -89,17 +81,9 @@ use crate::stats::Stats;
 /// configurations (eviction is FIFO — oldest program first).
 pub(crate) const AOT_CACHE_CAP: usize = 64;
 
-/// Controller instructions the load-time walk may retire before giving
-/// up. Real controller programs finish their configuration prologue in a
-/// few hundred instructions; the budget only exists to bound datapath-free
-/// infinite loops.
-const PREFILL_RETIRE_BUDGET: u64 = 10_000;
-
 /// One compiled configuration phase.
 #[derive(Clone, Debug)]
 struct AotEntry {
-    /// FNV-1a hash of `key` (cheap reject before the exact compare).
-    hash: u64,
     /// Canonical serialization of the configuration content the program
     /// was compiled from (see [`content_key`]).
     key: Vec<u64>,
@@ -128,59 +112,27 @@ pub(crate) struct AotEngine {
     /// cannot retire before this cycle, so re-walking earlier is wasted
     /// work (the lookahead is deterministic).
     schedule_stuck_until: u64,
-    /// Entry pinned by a proof manifest: once the machine is past its
-    /// proven configuration-stability cycle, the first resolved entry is
-    /// remembered here and subsequent quiet-window bursts reuse it
-    /// without re-probing the content hash (the proof guarantees the
-    /// content cannot have changed). Cleared on FIFO eviction (indices
-    /// shift) and whenever the machine detaches its proof.
-    pub(crate) proof_idx: Option<usize>,
-    /// Entry compiled for the halt-state configuration when the load-time
-    /// walk covered the *whole* controller execution (reached `halt`
-    /// without ever touching the datapath). The walk is deterministic and
-    /// datapath-free, so the real run retires the same instructions: once
-    /// a proof manifest additionally establishes a stability cycle,
-    /// `RingMachine::attach_proof` pins this entry as [`Self::proof_idx`]
-    /// — every post-stability burst runs this exact configuration.
-    pub(crate) prefill_final: Option<usize>,
 }
 
 impl AotEngine {
-    /// Number of compiled programs currently cached (test/lint hook).
+    /// Number of compiled programs currently cached (test hook).
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    fn lookup(&self, hash: u64, key: &[u64]) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|e| e.hash == hash && e.key == key)
+    fn lookup(&self, key: &[u64]) -> Option<usize> {
+        self.entries.iter().position(|e| e.key == key)
     }
 
     fn insert(&mut self, entry: AotEntry) -> usize {
         if self.entries.len() >= AOT_CACHE_CAP {
             self.entries.remove(0);
-            // Indices shifted: the memo (and any proof- or prefill-pinned
-            // index) may name wrong entries now.
+            // Indices shifted: the memo may name wrong entries now.
             self.stamp_memo.clear();
-            self.proof_idx = None;
-            self.prefill_final = None;
         }
         self.entries.push(entry);
         self.entries.len() - 1
     }
-}
-
-/// FNV-1a over the key words.
-fn fnv1a(key: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &w in key {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// Serializes everything a compiled program's behaviour depends on:
@@ -225,40 +177,10 @@ fn content_key(config: &ConfigLayer, dnodes: &[DnodeState], g: RingGeometry) -> 
     key
 }
 
-/// Compiles the shadow configuration into `engine` unless an identical
-/// content key is already cached.
-fn prefill_compile(
-    engine: &mut AotEngine,
-    config: &ConfigLayer,
-    dnodes: &[DnodeState],
-    plan: &mut DecodedPlan,
-    g: RingGeometry,
-    depth: usize,
-    stats: &mut Stats,
-) -> Option<usize> {
-    if engine.entries.len() >= AOT_CACHE_CAP {
-        return None;
-    }
-    let key = content_key(config, dnodes, g);
-    let hash = fnv1a(&key);
-    if let Some(idx) = engine.lookup(hash, &key) {
-        return Some(idx);
-    }
-    let active = config.active_index();
-    plan.refresh(active, config, dnodes, g);
-    let program = fused::compile(plan.context_plan(active), dnodes, g, depth);
-    stats.aot_compiles += 1;
-    Some(engine.insert(AotEntry {
-        hash,
-        key,
-        program,
-        next_phase: 0,
-    }))
-}
-
-/// The load-time walk's controller environment: the walk has no datapath,
-/// so a `busr` returns an unknowable value (flagged, aborting the walk)
-/// and an `hpop` always stalls (a non-retiring step, likewise aborting).
+/// The schedule lookahead's controller environment: the lookahead has no
+/// datapath, so a `busr` returns an unknowable value (flagged, ending the
+/// lookahead) and an `hpop` always stalls (a non-retiring step, likewise
+/// ending it).
 #[derive(Default)]
 struct BlindPorts {
     blind: Cell<bool>,
@@ -275,172 +197,18 @@ impl CtrlPorts for BlindPorts {
     }
 }
 
-/// Applies one controller effect to the walk's shadow configuration,
-/// mirroring [`RingMachine`]'s end-of-cycle commit (validation included)
-/// minus statistics and datapath side effects: `busw` only matters to a
-/// later `busr` (which aborts the walk anyway) and `hpush` only feeds the
-/// datapath, so both are no-ops here.
-fn apply_walk_effect(
-    effect: &CtrlEffect,
-    config: &mut ConfigLayer,
-    dnodes: &mut [DnodeState],
-    plan: &mut DecodedPlan,
-) -> Result<(), ConfigError> {
-    match *effect {
-        CtrlEffect::WriteDnode { ctx, dnode, word } => {
-            let instr = MicroInstr::decode(word)?;
-            config.set_dnode_instr(ctx, dnode, instr)
-        }
-        CtrlEffect::WritePort { ctx, flat, word } => {
-            let source = PortSource::decode(word)?;
-            config.set_port_flat(ctx, flat, source)
-        }
-        CtrlEffect::WriteCapture {
-            ctx,
-            switch,
-            port,
-            word,
-        } => {
-            let capture = HostCapture::decode(word)?;
-            config.set_capture(ctx, switch, port, capture)
-        }
-        CtrlEffect::WriteMode { dnode, local } => {
-            let count = dnodes.len();
-            let state = dnodes.get_mut(dnode).ok_or(ConfigError::DnodeOutOfRange {
-                dnode,
-                dnodes: count,
-            })?;
-            let mode = if local {
-                DnodeMode::Local
-            } else {
-                DnodeMode::Global
-            };
-            if state.mode() != mode {
-                plan.note_mode_write();
-            }
-            state.set_mode(mode);
-            Ok(())
-        }
-        CtrlEffect::WriteLocalSlot { dnode, slot, word } => {
-            let count = dnodes.len();
-            let state = dnodes.get_mut(dnode).ok_or(ConfigError::DnodeOutOfRange {
-                dnode,
-                dnodes: count,
-            })?;
-            if slot >= 8 {
-                return Err(ConfigError::SlotOutOfRange { slot });
-            }
-            let instr = MicroInstr::decode(word)?;
-            state.sequencer_mut().set_slot(slot, instr);
-            plan.note_seq_write(dnode);
-            Ok(())
-        }
-        CtrlEffect::WriteLocalLimit { dnode, limit } => {
-            let count = dnodes.len();
-            let state = dnodes.get_mut(dnode).ok_or(ConfigError::DnodeOutOfRange {
-                dnode,
-                dnodes: count,
-            })?;
-            if !(1..=8).contains(&limit) {
-                return Err(ConfigError::BadLocalLimit {
-                    limit: limit as usize,
-                });
-            }
-            state.sequencer_mut().set_limit(limit as u8);
-            plan.note_seq_write(dnode);
-            Ok(())
-        }
-        CtrlEffect::SetActiveCtx(ctx) => config.stage_select(ctx),
-        CtrlEffect::DriveBus(_) => Ok(()),
-        CtrlEffect::HostPush { .. } => Ok(()),
-    }
-}
-
 impl RingMachine {
     /// Number of compiled programs in the AOT cache (0 with the tier off).
-    /// Exposed for the lint cross-check and tests.
+    /// Exposed for tests.
     pub fn aot_cached_programs(&self) -> usize {
         self.aot.as_ref().map_or(0, |e| e.len())
     }
 
-    /// Load-time prefill: walks the freshly loaded controller program over
-    /// shadow state and compiles every provable steady window into the AOT
-    /// cache. Called from [`RingMachine::load`]; a no-op unless the `aot`
-    /// tier is fully enabled.
-    pub(crate) fn aot_prefill(&mut self) {
-        if !self.params.aot || !self.params.fused || !self.params.decode_cache {
-            return;
-        }
-        let mut engine = self.aot.take().unwrap_or_default();
-        let mut ctrl = self.controller.clone();
-        let mut config = self.config.clone();
-        let mut dnodes = self.dnodes.clone();
-        let mut plan = DecodedPlan::new(self.geometry, self.params.contexts);
-        let mut ports = BlindPorts::default();
-        let mut retired = 0u64;
-        'walk: while retired < PREFILL_RETIRE_BUDGET && engine.entries.len() < AOT_CACHE_CAP {
-            match ctrl.state() {
-                CtrlState::Halted => {
-                    // A halt is an unbounded steady window — and reaching
-                    // it means the walk covered the whole (deterministic,
-                    // datapath-free) controller execution, so this entry
-                    // is the configuration every post-stability burst
-                    // will run; remember it for proof-pinned elision.
-                    engine.prefill_final = prefill_compile(
-                        &mut engine,
-                        &config,
-                        &dnodes,
-                        &mut plan,
-                        self.geometry,
-                        self.params.pipe_depth,
-                        &mut self.stats,
-                    );
-                    break 'walk;
-                }
-                CtrlState::Waiting(n) => {
-                    if u64::from(n) >= MIN_BURST {
-                        let _ = prefill_compile(
-                            &mut engine,
-                            &config,
-                            &dnodes,
-                            &mut plan,
-                            self.geometry,
-                            self.params.pipe_depth,
-                            &mut self.stats,
-                        );
-                    }
-                    ctrl.skip_wait(u64::from(n));
-                    continue;
-                }
-                CtrlState::Running => {}
-            }
-            let Ok(step) = ctrl.step(&mut ports) else {
-                // The walk reached an instruction that faults; the real run
-                // will stop there too, but everything compiled so far is
-                // still reachable before the fault.
-                break;
-            };
-            if ports.blind.get() || !step.retired {
-                // `busr` read a bus value the walk cannot know, or `hpop`
-                // stalled on run-time FIFO data: control flow past this
-                // point is unknowable at load time.
-                break;
-            }
-            retired += 1;
-            for effect in &step.effects {
-                if apply_walk_effect(effect, &mut config, &mut dnodes, &mut plan).is_err() {
-                    break 'walk;
-                }
-            }
-            config.commit();
-        }
-        self.aot = Some(engine);
-    }
-
-    /// Resolves the current configuration content against the cache under
-    /// `stamps`, stitch-compiling on a guard miss. Returns the entry
-    /// index, remembered in the stamps memo for the next resolution.
-    fn aot_resolve(&mut self, engine: &mut AotEngine, stamps: FusedStamps) -> usize {
+    /// Resolves the current configuration content against the cache,
+    /// stitch-compiling on a guard miss. Returns the entry index,
+    /// remembered under the current epoch stamps for the next resolution.
+    fn aot_resolve(&mut self, engine: &mut AotEngine) -> usize {
+        let stamps = self.fused_stamps();
         if let Some(pos) = engine.stamp_memo.iter().position(|(s, _)| *s == stamps) {
             let hit = engine.stamp_memo.remove(pos);
             let idx = hit.1;
@@ -459,8 +227,7 @@ impl RingMachine {
             self.stats.decode_cache_misses += misses;
         }
         let key = content_key(&self.config, &self.dnodes, self.geometry);
-        let hash = fnv1a(&key);
-        let idx = match engine.lookup(hash, &key) {
+        let idx = match engine.lookup(&key) {
             Some(i) => i,
             None => {
                 // Guard miss: stitch by compiling the unseen
@@ -474,7 +241,6 @@ impl RingMachine {
                 );
                 self.stats.aot_compiles += 1;
                 engine.insert(AotEntry {
-                    hash,
                     key,
                     program,
                     next_phase: 0,
@@ -515,6 +281,17 @@ impl RingMachine {
                 0
             }
         }
+    }
+
+    /// Runs `len` cycles as one superblock burst through the cached program
+    /// for the current configuration, stitch-compiling it on a guard miss.
+    fn aot_burst(&mut self, engine: &mut AotEngine, len: u64) {
+        let idx = self.aot_resolve(engine);
+        let entry_phase = self.aot_anchor(engine, idx);
+        let entry = &mut engine.entries[idx];
+        fused::execute(&entry.program, entry_phase, &mut [&mut *self], len, true);
+        let period = u64::from(entry.program.period);
+        entry.next_phase = ((u64::from(entry_phase) + len) % period) as u32;
     }
 
     /// Attempts one AOT superblock burst of up to `remaining` cycles;
@@ -558,33 +335,7 @@ impl RingMachine {
             return 0;
         }
         let mut engine = self.aot.take().unwrap_or_default();
-        // Past the proven stability cycle the configuration content is a
-        // constant: the guard probe (stamp memo, content serialization,
-        // hash lookup) can only ever re-derive the pinned entry, so skip
-        // it. First resolution past the proof binds the pin.
-        let proven_stable = self.proof_stable_from.is_some_and(|s| self.cycle >= s);
-        let idx = match engine.proof_idx {
-            Some(idx) if proven_stable => {
-                self.stats.guards_elided += 1;
-                idx
-            }
-            _ => {
-                let stamps = self.fused_stamps();
-                let idx = self.aot_resolve(&mut engine, stamps);
-                if proven_stable {
-                    engine.proof_idx = Some(idx);
-                }
-                idx
-            }
-        };
-        let entry_phase = self.aot_anchor(&mut engine, idx);
-        {
-            let program = &engine.entries[idx].program;
-            let mut lanes = [&mut *self];
-            fused::execute(program, entry_phase, &mut lanes, window, true);
-        }
-        let period = u64::from(engine.entries[idx].program.period);
-        engine.entries[idx].next_phase = ((u64::from(entry_phase) + window) % period) as u32;
+        self.aot_burst(&mut engine, window);
         self.aot = Some(engine);
         window
     }
@@ -692,32 +443,7 @@ impl RingMachine {
             return 0;
         }
         for len in segments {
-            // Same proof-pinned elision as the quiet-window path, gated
-            // per segment: a segment starting past the proven stability
-            // cycle can only be running the pinned configuration.
-            let proven_stable = self.proof_stable_from.is_some_and(|s| self.cycle >= s);
-            let idx = match engine.proof_idx {
-                Some(idx) if proven_stable => {
-                    self.stats.guards_elided += 1;
-                    idx
-                }
-                _ => {
-                    let stamps = self.fused_stamps();
-                    let idx = self.aot_resolve(&mut engine, stamps);
-                    if proven_stable {
-                        engine.proof_idx = Some(idx);
-                    }
-                    idx
-                }
-            };
-            let entry_phase = self.aot_anchor(&mut engine, idx);
-            {
-                let program = &engine.entries[idx].program;
-                let mut lanes = [&mut *self];
-                fused::execute(program, entry_phase, &mut lanes, len, true);
-            }
-            let period = u64::from(engine.entries[idx].program.period);
-            engine.entries[idx].next_phase = ((u64::from(entry_phase) + len) % period) as u32;
+            self.aot_burst(&mut engine, len);
             // The burst accounted the controller as stalled for the whole
             // segment (the quiet-window convention); the replay below
             // re-counts each of these cycles exactly as the decoded path
@@ -753,6 +479,7 @@ mod tests {
     use systolic_ring_isa::ctrl::{CReg, CtrlInstr};
     use systolic_ring_isa::dnode::{AluOp, MicroInstr, Operand, Reg};
     use systolic_ring_isa::object::Object;
+    use systolic_ring_isa::switch::PortSource;
 
     fn aot_params() -> MachineParams {
         MachineParams::PAPER
@@ -827,25 +554,6 @@ mod tests {
             .sequencer_mut()
             .set_slot(0, nop.with_imm(Word16::from_i16(3)));
         assert_ne!(local, content_key(&m.config, &dnodes, m.geometry));
-    }
-
-    #[test]
-    fn prefill_compiles_the_wait_window_at_load() {
-        let mut m = RingMachine::new(RingGeometry::RING_8, aot_params());
-        m.load(&mac_object()).unwrap();
-        assert_eq!(m.aot_cached_programs(), 1, "one steady window prefilled");
-        assert_eq!(m.stats().aot_compiles, 1);
-        // The very first run enters the cache with no detection warmup and
-        // no guard miss: the prefill already paid for the compile.
-        m.attach_input(0, 0, [1, 3, 5].map(Word16::from_i16))
-            .unwrap();
-        m.attach_input(0, 1, [2, 4, 6].map(Word16::from_i16))
-            .unwrap();
-        m.run(32).unwrap();
-        assert_eq!(m.dnode(0).reg(Reg::R0).as_i16(), 44);
-        assert!(m.stats().aot_entries >= 1, "burst entered");
-        assert_eq!(m.stats().aot_guard_misses, 0, "prefill hit, no stitch");
-        assert_eq!(m.stats().fused_entries, 0, "aot outranks fused dispatch");
     }
 
     #[test]
@@ -957,27 +665,17 @@ mod tests {
         assert_eq!(stats.ctx_switches, 48, "24 rounds of ctx 1 / ctx 0");
     }
 
+    /// Nothing is compiled at load: the first window reaches the tier as a
+    /// guard miss, which compiles its configuration and enters it at once.
     #[test]
-    fn blind_reads_abort_the_prefill_walk() {
-        let mut object = mac_object();
-        object.code = vec![
-            CtrlInstr::Busr {
-                rd: CReg::new(1).unwrap(),
-            }
-            .encode(),
-            CtrlInstr::Wait { cycles: 64 }.encode(),
-            CtrlInstr::Halt.encode(),
-        ];
+    fn first_window_is_stitched_on_a_guard_miss() {
         let mut m = RingMachine::new(RingGeometry::RING_8, aot_params());
-        m.load(&object).unwrap();
-        assert_eq!(
-            m.aot_cached_programs(),
-            0,
-            "no window may be compiled past a datapath-dependent read"
-        );
-        // The run still covers the wait via a guard-miss stitch.
+        m.load(&mac_object()).unwrap();
+        assert_eq!(m.aot_cached_programs(), 0, "load compiles nothing");
         m.run(40).unwrap();
         assert_eq!(m.stats().aot_guard_misses, 1);
+        assert_eq!(m.stats().aot_compiles, 1);
         assert!(m.stats().aot_cycles > 0);
+        assert_eq!(m.stats().fused_entries, 0, "aot outranks fused dispatch");
     }
 }

@@ -93,8 +93,8 @@ pub struct RingMachine {
     pub(crate) fused: Option<Box<crate::fused::FusedEngine>>,
     /// The AOT multi-phase superblock cache (consulted only when
     /// `params.aot`, `params.fused` and `params.decode_cache` are all
-    /// set). Boxed and lazily allocated like `fused`; prefilled at
-    /// [`RingMachine::load`] time.
+    /// set). Boxed and lazily allocated like `fused`; filled at run time,
+    /// one compile per guard miss.
     pub(crate) aot: Option<Box<crate::aot::AotEngine>>,
     /// Watchdog progress snapshot: (ctrl instructions retired, config
     /// writes, context switches, host words in, host words out).
@@ -108,10 +108,9 @@ pub struct RingMachine {
     /// Cycle from which an attached, hash-validated proof manifest
     /// declares the fabric configuration permanently stable. While set
     /// and reached, the fused tier waives its stability-detection window
-    /// and the AOT tier skips its content-hash guard probe (see
-    /// `Stats::guards_elided`). Cleared by anything that could invalidate
-    /// the static proof: a new [`RingMachine::load`], programmatic
-    /// configuration access, or a Dnode remap.
+    /// (see `Stats::guards_elided`). Cleared by anything that could
+    /// invalidate the static proof: a new [`RingMachine::load`],
+    /// programmatic configuration access, or a Dnode remap.
     pub(crate) proof_stable_from: Option<u64>,
 }
 
@@ -186,25 +185,87 @@ fn _ring_machine_is_send_and_sync() {
     assert_send_sync::<RingMachine>();
 }
 
+// The Dnode-side configuration writes: object preload records and
+// controller effects share one rule per write (index checks, word decode,
+// decoded-plan invalidation). Only the controller path counts
+// `Stats::config_writes`, so the callers do the counting.
+
+/// The Dnode a configuration write targets, range-checked.
+fn dnode_mut(dnodes: &mut [DnodeState], dnode: usize) -> Result<&mut DnodeState, ConfigError> {
+    let count = dnodes.len();
+    dnodes.get_mut(dnode).ok_or(ConfigError::DnodeOutOfRange {
+        dnode,
+        dnodes: count,
+    })
+}
+
+/// Sets a Dnode's execution mode.
+fn write_mode(
+    dnodes: &mut [DnodeState],
+    plan: &mut DecodedPlan,
+    dnode: usize,
+    local: bool,
+) -> Result<(), ConfigError> {
+    let state = dnode_mut(dnodes, dnode)?;
+    let mode = if local {
+        DnodeMode::Local
+    } else {
+        DnodeMode::Global
+    };
+    if state.mode() != mode {
+        plan.note_mode_write();
+    }
+    state.set_mode(mode);
+    Ok(())
+}
+
+/// Writes one local-sequencer slot.
+fn write_local_slot(
+    dnodes: &mut [DnodeState],
+    plan: &mut DecodedPlan,
+    dnode: usize,
+    slot: usize,
+    word: u64,
+) -> Result<(), ConfigError> {
+    let state = dnode_mut(dnodes, dnode)?;
+    if slot >= 8 {
+        return Err(ConfigError::SlotOutOfRange { slot });
+    }
+    state
+        .sequencer_mut()
+        .set_slot(slot, MicroInstr::decode(word)?);
+    plan.note_seq_write(dnode);
+    Ok(())
+}
+
+/// Sets a local sequencer's limit.
+fn write_local_limit(
+    dnodes: &mut [DnodeState],
+    plan: &mut DecodedPlan,
+    dnode: usize,
+    limit: u32,
+) -> Result<(), ConfigError> {
+    let state = dnode_mut(dnodes, dnode)?;
+    if !(1..=8).contains(&limit) {
+        return Err(ConfigError::BadLocalLimit {
+            limit: limit as usize,
+        });
+    }
+    state.sequencer_mut().set_limit(limit as u8);
+    // `set_limit` resets the counter, which the fused engine's phase
+    // anchoring depends on.
+    plan.note_seq_write(dnode);
+    Ok(())
+}
+
 impl RingMachine {
     /// Creates a reset machine.
     ///
-    /// If a [`crate::with_decode_cache`] scope is active on this thread,
-    /// its setting overrides `params.decode_cache`.
+    /// Any [`crate::with_decode_cache`], [`crate::with_fused`],
+    /// [`crate::with_aot`] or [`crate::with_faults`] scope active on this
+    /// thread overrides the matching field of `params`.
     pub fn new(geometry: RingGeometry, params: MachineParams) -> Self {
-        let mut params = params;
-        if let Some(enabled) = crate::params::decode_cache_override() {
-            params.decode_cache = enabled;
-        }
-        if let Some(enabled) = crate::params::fused_override() {
-            params.fused = enabled;
-        }
-        if let Some(enabled) = crate::params::aot_override() {
-            params.aot = enabled;
-        }
-        if let Some(faults) = crate::params::fault_override() {
-            params.faults = faults;
-        }
+        let params = params.with_overrides();
         let dnodes = (0..geometry.dnodes()).map(|_| DnodeState::new()).collect();
         let switches = (0..geometry.switches())
             .map(|_| {
@@ -454,9 +515,6 @@ impl RingMachine {
         // fresh manifest to exactly these bytes.
         self.invalidate_proof();
         self.loaded_object_hash = Some(object_hash(object));
-        // With the AOT tier on, walk the loaded program and precompile its
-        // provable steady windows (no-op otherwise; see `crate::aot`).
-        self.aot_prefill();
         Ok(())
     }
 
@@ -473,12 +531,10 @@ impl RingMachine {
     /// * it established a configuration-stability cycle.
     ///
     /// Once attached and past `config_stable_from`, the fused tier skips
-    /// its `DETECTION_WINDOW` stability heuristic and the
-    /// AOT tier pins its resolved cache entry instead of re-probing the
-    /// content hash every burst; each skipped check counts one
-    /// `Stats::guards_elided`. Elision never changes architectural state
-    /// — the differential suites compare tiers with and without proofs
-    /// attached — it only removes warm-up and guard overhead the proof
+    /// its `DETECTION_WINDOW` stability heuristic; each skipped window
+    /// counts one `Stats::guards_elided`. Elision never changes
+    /// architectural state — the differential suites compare tiers with
+    /// and without proofs attached — it only removes warm-up the proof
     /// made redundant. Any subsequent load, programmatic configuration
     /// access or Dnode remap detaches the proof.
     pub fn attach_proof(&mut self, proof: &ProofManifest) -> bool {
@@ -489,24 +545,13 @@ impl RingMachine {
             && proof.config_stable_from.is_some();
         if accepted {
             self.proof_stable_from = proof.config_stable_from;
-            // If the AOT prefill walk covered the whole controller
-            // execution, its halt-state entry is exactly the configuration
-            // every post-stability burst runs: pin it so even the first
-            // burst skips the content-hash probe.
-            if let Some(engine) = &mut self.aot {
-                engine.proof_idx = engine.prefill_final;
-            }
         }
         accepted
     }
 
-    /// Detaches any attached proof manifest and the AOT tier's pinned
-    /// entry derived from it.
+    /// Detaches any attached proof manifest.
     fn invalidate_proof(&mut self) {
         self.proof_stable_from = None;
-        if let Some(engine) = &mut self.aot {
-            engine.proof_idx = None;
-        }
     }
 
     fn apply_preload(&mut self, record: &Preload) -> Result<(), ConfigError> {
@@ -543,62 +588,17 @@ impl RingMachine {
                     .set_capture(ctx as usize, switch as usize, port as usize, capture)
             }
             Preload::Mode { dnode, local } => {
-                let dnodes = self.geometry.dnodes();
-                if dnode as usize >= dnodes {
-                    return Err(ConfigError::DnodeOutOfRange {
-                        dnode: dnode as usize,
-                        dnodes,
-                    });
-                }
-                let mode = if local {
-                    DnodeMode::Local
-                } else {
-                    DnodeMode::Global
-                };
-                if self.dnodes[dnode as usize].mode() != mode {
-                    self.plan.note_mode_write();
-                }
-                self.dnodes[dnode as usize].set_mode(mode);
-                Ok(())
+                write_mode(&mut self.dnodes, &mut self.plan, dnode.into(), local)
             }
-            Preload::LocalSlot { dnode, slot, word } => {
-                let dnodes = self.geometry.dnodes();
-                if dnode as usize >= dnodes {
-                    return Err(ConfigError::DnodeOutOfRange {
-                        dnode: dnode as usize,
-                        dnodes,
-                    });
-                }
-                if slot as usize >= 8 {
-                    return Err(ConfigError::SlotOutOfRange {
-                        slot: slot as usize,
-                    });
-                }
-                let instr = MicroInstr::decode(word)?;
-                self.dnodes[dnode as usize]
-                    .sequencer_mut()
-                    .set_slot(slot as usize, instr);
-                self.plan.note_seq_write(dnode as usize);
-                Ok(())
-            }
+            Preload::LocalSlot { dnode, slot, word } => write_local_slot(
+                &mut self.dnodes,
+                &mut self.plan,
+                dnode.into(),
+                slot.into(),
+                word,
+            ),
             Preload::LocalLimit { dnode, limit } => {
-                let dnodes = self.geometry.dnodes();
-                if dnode as usize >= dnodes {
-                    return Err(ConfigError::DnodeOutOfRange {
-                        dnode: dnode as usize,
-                        dnodes,
-                    });
-                }
-                if !(1..=8).contains(&limit) {
-                    return Err(ConfigError::BadLocalLimit {
-                        limit: limit as usize,
-                    });
-                }
-                self.dnodes[dnode as usize].sequencer_mut().set_limit(limit);
-                // `set_limit` resets the counter, which the fused engine's
-                // phase anchoring depends on.
-                self.plan.note_seq_write(dnode as usize);
-                Ok(())
+                write_local_limit(&mut self.dnodes, &mut self.plan, dnode.into(), limit.into())
             }
         }
     }
@@ -1308,6 +1308,8 @@ impl RingMachine {
         }
     }
 
+    /// Commits one controller effect. Every configuration write counts
+    /// one `Stats::config_writes` once it has been validated and applied.
     fn apply_effect(
         &mut self,
         effect: &CtrlEffect,
@@ -1317,14 +1319,10 @@ impl RingMachine {
             CtrlEffect::WriteDnode { ctx, dnode, word } => {
                 let instr = MicroInstr::decode(word)?;
                 self.config.set_dnode_instr(ctx, dnode, instr)?;
-                self.stats.config_writes += 1;
-                Ok(())
             }
             CtrlEffect::WritePort { ctx, flat, word } => {
                 let source = PortSource::decode(word)?;
                 self.config.set_port_flat(ctx, flat, source)?;
-                self.stats.config_writes += 1;
-                Ok(())
             }
             CtrlEffect::WriteCapture {
                 ctx,
@@ -1334,59 +1332,18 @@ impl RingMachine {
             } => {
                 let capture = HostCapture::decode(word)?;
                 self.config.set_capture(ctx, switch, port, capture)?;
-                self.stats.config_writes += 1;
-                Ok(())
             }
             CtrlEffect::WriteMode { dnode, local } => {
-                let dnodes = self.geometry.dnodes();
-                if dnode >= dnodes {
-                    return Err(ConfigError::DnodeOutOfRange { dnode, dnodes });
-                }
-                let mode = if local {
-                    DnodeMode::Local
-                } else {
-                    DnodeMode::Global
-                };
-                if self.dnodes[dnode].mode() != mode {
-                    plan.note_mode_write();
-                }
-                self.dnodes[dnode].set_mode(mode);
-                self.stats.config_writes += 1;
-                Ok(())
+                write_mode(&mut self.dnodes, plan, dnode, local)?;
             }
             CtrlEffect::WriteLocalSlot { dnode, slot, word } => {
-                let dnodes = self.geometry.dnodes();
-                if dnode >= dnodes {
-                    return Err(ConfigError::DnodeOutOfRange { dnode, dnodes });
-                }
-                if slot >= 8 {
-                    return Err(ConfigError::SlotOutOfRange { slot });
-                }
-                let instr = MicroInstr::decode(word)?;
-                self.dnodes[dnode].sequencer_mut().set_slot(slot, instr);
-                plan.note_seq_write(dnode);
-                self.stats.config_writes += 1;
-                Ok(())
+                write_local_slot(&mut self.dnodes, plan, dnode, slot, word)?;
             }
             CtrlEffect::WriteLocalLimit { dnode, limit } => {
-                let dnodes = self.geometry.dnodes();
-                if dnode >= dnodes {
-                    return Err(ConfigError::DnodeOutOfRange { dnode, dnodes });
-                }
-                if !(1..=8).contains(&limit) {
-                    return Err(ConfigError::BadLocalLimit {
-                        limit: limit as usize,
-                    });
-                }
-                self.dnodes[dnode].sequencer_mut().set_limit(limit as u8);
-                // `set_limit` resets the counter, which the fused engine's
-                // phase anchoring depends on.
-                plan.note_seq_write(dnode);
-                self.stats.config_writes += 1;
-                Ok(())
+                write_local_limit(&mut self.dnodes, plan, dnode, limit)?;
             }
-            CtrlEffect::SetActiveCtx(ctx) => self.config.stage_select(ctx),
-            CtrlEffect::DriveBus(_) => Ok(()), // handled by the bus arbiter
+            CtrlEffect::SetActiveCtx(ctx) => return self.config.stage_select(ctx),
+            CtrlEffect::DriveBus(_) => return Ok(()), // handled by the bus arbiter
             CtrlEffect::HostPush { switch, port, word } => {
                 // Lands behind the FIFO's delivered words, ahead of any
                 // undelivered stream words (see `WordFifo::push`).
@@ -1394,9 +1351,11 @@ impl RingMachine {
                 if self.switches[switch].host_in[port].push(word) == PushOutcome::Dropped {
                     self.stats.fifo_overflows += 1;
                 }
-                Ok(())
+                return Ok(());
             }
         }
+        self.stats.config_writes += 1;
+        Ok(())
     }
 
     /// Runs `cycles` clock cycles.

@@ -93,23 +93,23 @@ pub struct MachineParams {
     /// [`crate::RingMachine::step`] never fuses: single-cycle stepping (and
     /// therefore per-cycle tracing) always takes the decoded path.
     pub fused: bool,
-    /// Execute through the ahead-of-time multi-phase superblock cache.
+    /// Execute through the multi-phase superblock cache (the `aot` tier).
     ///
     /// When `true` *and* both [`MachineParams::decode_cache`] and
-    /// [`MachineParams::fused`] are enabled, [`crate::RingMachine::load`]
-    /// walks the controller program once and pre-compiles a fused program
-    /// for every configuration phase it can bound, keyed by the *exact
-    /// configuration content* rather than monotonic write epochs. At run
-    /// time every quiescent window (controller halted or mid-`wait`) is
-    /// stitched to a cached program through a cheap guard check — content
-    /// fingerprint, no armed injector, no staged context switch, watchdog
-    /// distance — with no stability-detection warmup, so programs survive
-    /// reconfiguration rounds instead of deoptimizing: a loop that returns
-    /// to a previously seen configuration re-enters its compiled program
-    /// immediately. Guard misses compile the new phase on the spot and
-    /// fall back to the decoded path for at most that window. Off by
-    /// default (`MachineParams::PAPER`) so the `fused` tier's measured
-    /// behaviour is unchanged; the `aot` tier enables it explicitly.
+    /// [`MachineParams::fused`] are enabled, [`crate::RingMachine::run`]
+    /// keeps a cache of fused programs keyed by the *exact configuration
+    /// content* rather than monotonic write epochs. Every quiescent window
+    /// (controller halted or mid-`wait`, or a running controller that
+    /// provably stays off the datapath) is admitted through a guard check
+    /// — configuration content, no armed injector, no staged context
+    /// switch, watchdog distance — with no stability-detection warmup, so
+    /// programs survive reconfiguration rounds instead of deoptimizing: a
+    /// loop that returns to a previously seen configuration re-enters its
+    /// compiled program immediately. A guard miss compiles the new phase
+    /// on the spot and enters it; that is also how each window is compiled
+    /// the first time, since nothing is compiled at load. Off by default
+    /// (`MachineParams::PAPER`) so the `fused` tier's measured behaviour is
+    /// unchanged; the `aot` tier enables it explicitly.
     pub aot: bool,
     /// Fault-injection and fault-detection configuration.
     ///
@@ -246,8 +246,56 @@ impl Default for MachineParams {
     }
 }
 
+/// The construction overrides active on this thread: one per
+/// `with_*` scope kind, `None` where no scope of that kind is open.
+#[derive(Clone, Copy)]
+struct Overrides {
+    decode_cache: Option<bool>,
+    fused: Option<bool>,
+    aot: Option<bool>,
+    faults: Option<FaultConfig>,
+}
+
 thread_local! {
-    static DECODE_CACHE_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
+    static OVERRIDES: Cell<Overrides> = const {
+        Cell::new(Overrides {
+            decode_cache: None,
+            fused: None,
+            aot: None,
+            faults: None,
+        })
+    };
+}
+
+/// Runs `f` with `set` applied to this thread's overrides, restoring the
+/// previous overrides when `f` returns or panics. Scopes nest because
+/// each one restores exactly what it found.
+fn with_override<T>(set: impl FnOnce(&mut Overrides), f: impl FnOnce() -> T) -> T {
+    struct Restore(Overrides);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            OVERRIDES.with(|cell| cell.set(self.0));
+        }
+    }
+    let saved = OVERRIDES.with(Cell::get);
+    let mut scoped = saved;
+    set(&mut scoped);
+    let _restore = Restore(saved);
+    OVERRIDES.with(|cell| cell.set(scoped));
+    f()
+}
+
+impl MachineParams {
+    /// `self` with this thread's active `with_*` overrides applied
+    /// (consulted by machine construction).
+    pub(crate) fn with_overrides(mut self) -> Self {
+        let o = OVERRIDES.with(Cell::get);
+        self.decode_cache = o.decode_cache.unwrap_or(self.decode_cache);
+        self.fused = o.fused.unwrap_or(self.fused);
+        self.aot = o.aot.unwrap_or(self.aot);
+        self.faults = o.faults.unwrap_or(self.faults);
+        self
+    }
 }
 
 /// Runs `f` with [`MachineParams::decode_cache`] forced to `enabled` for
@@ -272,23 +320,7 @@ thread_local! {
 /// assert!(RingMachine::with_defaults(RingGeometry::RING_8).params().decode_cache);
 /// ```
 pub fn with_decode_cache<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<bool>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            DECODE_CACHE_OVERRIDE.with(|cell| cell.set(self.0));
-        }
-    }
-    let _restore = Restore(DECODE_CACHE_OVERRIDE.with(|cell| cell.replace(Some(enabled))));
-    f()
-}
-
-/// The active scoped override, if any (consulted by machine construction).
-pub(crate) fn decode_cache_override() -> Option<bool> {
-    DECODE_CACHE_OVERRIDE.with(|cell| cell.get())
-}
-
-thread_local! {
-    static FUSED_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
+    with_override(|o| o.decode_cache = Some(enabled), f)
 }
 
 /// Runs `f` with [`MachineParams::fused`] forced to `enabled` for every
@@ -312,24 +344,7 @@ thread_local! {
 /// assert!(RingMachine::with_defaults(RingGeometry::RING_8).params().fused);
 /// ```
 pub fn with_fused<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<bool>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FUSED_OVERRIDE.with(|cell| cell.set(self.0));
-        }
-    }
-    let _restore = Restore(FUSED_OVERRIDE.with(|cell| cell.replace(Some(enabled))));
-    f()
-}
-
-/// The active scoped fused override, if any (consulted by machine
-/// construction).
-pub(crate) fn fused_override() -> Option<bool> {
-    FUSED_OVERRIDE.with(|cell| cell.get())
-}
-
-thread_local! {
-    static AOT_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
+    with_override(|o| o.fused = Some(enabled), f)
 }
 
 /// Runs `f` with [`MachineParams::aot`] forced to `enabled` for every
@@ -353,24 +368,7 @@ thread_local! {
 /// assert!(!RingMachine::with_defaults(RingGeometry::RING_8).params().aot);
 /// ```
 pub fn with_aot<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<bool>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            AOT_OVERRIDE.with(|cell| cell.set(self.0));
-        }
-    }
-    let _restore = Restore(AOT_OVERRIDE.with(|cell| cell.replace(Some(enabled))));
-    f()
-}
-
-/// The active scoped AOT override, if any (consulted by machine
-/// construction).
-pub(crate) fn aot_override() -> Option<bool> {
-    AOT_OVERRIDE.with(|cell| cell.get())
-}
-
-thread_local! {
-    static FAULT_OVERRIDE: Cell<Option<FaultConfig>> = const { Cell::new(None) };
+    with_override(|o| o.aot = Some(enabled), f)
 }
 
 /// Runs `f` with [`MachineParams::faults`] forced to `faults` for every
@@ -399,20 +397,7 @@ thread_local! {
 /// );
 /// ```
 pub fn with_faults<T>(faults: FaultConfig, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<FaultConfig>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FAULT_OVERRIDE.with(|cell| cell.set(self.0));
-        }
-    }
-    let _restore = Restore(FAULT_OVERRIDE.with(|cell| cell.replace(Some(faults))));
-    f()
-}
-
-/// The active scoped fault override, if any (consulted by machine
-/// construction).
-pub(crate) fn fault_override() -> Option<FaultConfig> {
-    FAULT_OVERRIDE.with(|cell| cell.get())
+    with_override(|o| o.faults = Some(faults), f)
 }
 
 #[cfg(test)]
@@ -438,6 +423,37 @@ mod tests {
         assert_eq!(p.pipe_depth, 4);
         assert_eq!(p.host_fifo_capacity, 64);
         assert_ne!(p.link, LinkModel::Direct);
+    }
+
+    #[test]
+    fn overrides_nest_and_restore_even_on_panic() {
+        let base = MachineParams::PAPER;
+        let faults = FaultConfig::uniform(7, 100);
+        with_aot(true, || {
+            with_fused(false, || {
+                with_aot(false, || {
+                    let p = base.with_overrides();
+                    assert!(!p.aot && !p.fused, "the inner scope shadows the outer");
+                });
+                let p = base.with_overrides();
+                assert!(p.aot && !p.fused, "leaving a scope restores what it found");
+                with_faults(faults, || {
+                    with_decode_cache(false, || {
+                        let p = base.with_overrides();
+                        assert!(p.aot && !p.fused && !p.decode_cache);
+                        assert_eq!(p.faults, faults);
+                    })
+                });
+            });
+            let panicked = std::panic::catch_unwind(|| with_fused(false, || panic!("scoped")));
+            assert!(panicked.is_err());
+            assert_eq!(
+                base.with_overrides(),
+                base.with_aot(true),
+                "a panicking scope still restores"
+            );
+        });
+        assert_eq!(base.with_overrides(), base);
     }
 
     #[test]

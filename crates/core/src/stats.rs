@@ -82,8 +82,9 @@ pub struct Stats {
     /// from `fused_cycles`: a cycle is accounted to whichever engine ran
     /// it).
     pub aot_cycles: u64,
-    /// Programs compiled into the AOT phase cache, at load-time prefill or
-    /// on a run-time guard miss.
+    /// Programs compiled into the AOT phase cache: one per guard miss, plus
+    /// one per in-place re-anchor when the sequencer counters leave a
+    /// compiled orbit. Nothing is compiled at load.
     pub aot_compiles: u64,
     /// Guard checks whose content fingerprint matched no cached program —
     /// the AOT tier's deopt analogue, except the stitch compiles the new
@@ -91,8 +92,9 @@ pub struct Stats {
     pub aot_guard_misses: u64,
     /// Runtime phase guards skipped because a static proof manifest
     /// (see `RingMachine::attach_proof`) covered the check: fused-tier
-    /// stability-detection windows waived and AOT guard-hash probes
-    /// short-circuited once the linter proved the configuration stable.
+    /// stability-detection windows waived once the linter proved the
+    /// configuration stable. Only the fused tier elides guards; the AOT
+    /// tier always checks configuration content.
     /// Zeroed by [`Stats::without_cache_counters`] — eliding a guard must
     /// never change architectural state.
     pub guards_elided: u64,
@@ -161,46 +163,87 @@ impl Stats {
     /// engine uses this to fold per-job statistics into one batch-level
     /// record, so derived figures (utilization, ops/cycle) read as
     /// aggregates over the summed cycle base.
+    ///
+    /// `other` is destructured without `..`, so a counter added to
+    /// [`Stats`] or [`DnodeStats`] does not compile until it is merged
+    /// here too.
     pub fn merge(&mut self, other: &Stats) {
-        if self.dnodes.len() < other.dnodes.len() {
-            self.dnodes
-                .resize(other.dnodes.len(), DnodeStats::default());
+        let Stats {
+            cycles,
+            dnodes,
+            ctrl_instrs,
+            ctrl_stall_cycles,
+            config_writes,
+            ctx_switches,
+            host_words_in,
+            host_words_out,
+            link_stall_cycles,
+            fifo_underflows,
+            fifo_overflows,
+            bus_conflicts,
+            decode_cache_hits,
+            decode_cache_misses,
+            fused_entries,
+            fused_deopts,
+            fused_cycles,
+            fused_lane_occupancy,
+            aot_entries,
+            aot_cycles,
+            aot_compiles,
+            aot_guard_misses,
+            guards_elided,
+            faults_injected,
+            parity_scrubs,
+            config_faults_detected,
+            datapath_faults_detected,
+            watchdog_trips,
+            checkpoints,
+            restores,
+        } = other;
+        if self.dnodes.len() < dnodes.len() {
+            self.dnodes.resize(dnodes.len(), DnodeStats::default());
         }
-        for (mine, theirs) in self.dnodes.iter_mut().zip(&other.dnodes) {
-            mine.active_cycles += theirs.active_cycles;
-            mine.alu_ops += theirs.alu_ops;
-            mine.mult_ops += theirs.mult_ops;
-            mine.local_cycles += theirs.local_cycles;
+        for (mine, theirs) in self.dnodes.iter_mut().zip(dnodes) {
+            let DnodeStats {
+                active_cycles,
+                alu_ops,
+                mult_ops,
+                local_cycles,
+            } = theirs;
+            mine.active_cycles += active_cycles;
+            mine.alu_ops += alu_ops;
+            mine.mult_ops += mult_ops;
+            mine.local_cycles += local_cycles;
         }
-        self.cycles += other.cycles;
-        self.ctrl_instrs += other.ctrl_instrs;
-        self.ctrl_stall_cycles += other.ctrl_stall_cycles;
-        self.config_writes += other.config_writes;
-        self.ctx_switches += other.ctx_switches;
-        self.host_words_in += other.host_words_in;
-        self.host_words_out += other.host_words_out;
-        self.link_stall_cycles += other.link_stall_cycles;
-        self.fifo_underflows += other.fifo_underflows;
-        self.fifo_overflows += other.fifo_overflows;
-        self.bus_conflicts += other.bus_conflicts;
-        self.decode_cache_hits += other.decode_cache_hits;
-        self.decode_cache_misses += other.decode_cache_misses;
-        self.fused_entries += other.fused_entries;
-        self.fused_deopts += other.fused_deopts;
-        self.fused_cycles += other.fused_cycles;
-        self.fused_lane_occupancy += other.fused_lane_occupancy;
-        self.aot_entries += other.aot_entries;
-        self.aot_cycles += other.aot_cycles;
-        self.aot_compiles += other.aot_compiles;
-        self.aot_guard_misses += other.aot_guard_misses;
-        self.guards_elided += other.guards_elided;
-        self.faults_injected += other.faults_injected;
-        self.parity_scrubs += other.parity_scrubs;
-        self.config_faults_detected += other.config_faults_detected;
-        self.datapath_faults_detected += other.datapath_faults_detected;
-        self.watchdog_trips += other.watchdog_trips;
-        self.checkpoints += other.checkpoints;
-        self.restores += other.restores;
+        self.cycles += cycles;
+        self.ctrl_instrs += ctrl_instrs;
+        self.ctrl_stall_cycles += ctrl_stall_cycles;
+        self.config_writes += config_writes;
+        self.ctx_switches += ctx_switches;
+        self.host_words_in += host_words_in;
+        self.host_words_out += host_words_out;
+        self.link_stall_cycles += link_stall_cycles;
+        self.fifo_underflows += fifo_underflows;
+        self.fifo_overflows += fifo_overflows;
+        self.bus_conflicts += bus_conflicts;
+        self.decode_cache_hits += decode_cache_hits;
+        self.decode_cache_misses += decode_cache_misses;
+        self.fused_entries += fused_entries;
+        self.fused_deopts += fused_deopts;
+        self.fused_cycles += fused_cycles;
+        self.fused_lane_occupancy += fused_lane_occupancy;
+        self.aot_entries += aot_entries;
+        self.aot_cycles += aot_cycles;
+        self.aot_compiles += aot_compiles;
+        self.aot_guard_misses += aot_guard_misses;
+        self.guards_elided += guards_elided;
+        self.faults_injected += faults_injected;
+        self.parity_scrubs += parity_scrubs;
+        self.config_faults_detected += config_faults_detected;
+        self.datapath_faults_detected += datapath_faults_detected;
+        self.watchdog_trips += watchdog_trips;
+        self.checkpoints += checkpoints;
+        self.restores += restores;
     }
 
     /// A copy with the decode-cache, fused-engine and AOT-engine counters
@@ -240,6 +283,60 @@ mod tests {
         assert_eq!(s.utilization(), 0.0);
         assert_eq!(s.idle_dnodes(), 8);
         assert_eq!(s.ops_per_cycle(), 0.0);
+    }
+
+    /// Every counter set to a distinct nonzero multiple of `k`. The
+    /// struct literals have no `..`, so a new counter must be given a
+    /// value here too.
+    fn every_counter_set(k: u64) -> Stats {
+        let dnode = |base: u64| DnodeStats {
+            active_cycles: (base + 1) * k,
+            alu_ops: (base + 2) * k,
+            mult_ops: (base + 3) * k,
+            local_cycles: (base + 4) * k,
+        };
+        Stats {
+            cycles: k,
+            dnodes: vec![dnode(100), dnode(200)],
+            ctrl_instrs: 2 * k,
+            ctrl_stall_cycles: 3 * k,
+            config_writes: 4 * k,
+            ctx_switches: 5 * k,
+            host_words_in: 6 * k,
+            host_words_out: 7 * k,
+            link_stall_cycles: 8 * k,
+            fifo_underflows: 9 * k,
+            fifo_overflows: 10 * k,
+            bus_conflicts: 11 * k,
+            decode_cache_hits: 12 * k,
+            decode_cache_misses: 13 * k,
+            fused_entries: 14 * k,
+            fused_deopts: 15 * k,
+            fused_cycles: 16 * k,
+            fused_lane_occupancy: 17 * k,
+            aot_entries: 18 * k,
+            aot_cycles: 19 * k,
+            aot_compiles: 20 * k,
+            aot_guard_misses: 21 * k,
+            guards_elided: 22 * k,
+            faults_injected: 23 * k,
+            parity_scrubs: 24 * k,
+            config_faults_detected: 25 * k,
+            datapath_faults_detected: 26 * k,
+            watchdog_trips: 27 * k,
+            checkpoints: 28 * k,
+            restores: 29 * k,
+        }
+    }
+
+    #[test]
+    fn merge_keeps_every_counter() {
+        let once = every_counter_set(1);
+        let mut merged = Stats::default();
+        merged.merge(&once);
+        assert_eq!(merged, once, "merging into empty stats reproduces them");
+        merged.merge(&once);
+        assert_eq!(merged, every_counter_set(2), "merging twice doubles");
     }
 
     #[test]

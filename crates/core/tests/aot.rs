@@ -112,9 +112,8 @@ fn load32(code: &mut Vec<u32>, rd: CReg, value: u32) {
 }
 
 /// A random controller program interleaving long waits with valid
-/// configuration writes — the same multi-phase shape the AOT prefill
-/// walks at load time, so runtime entries hit (or soundly miss) the
-/// precompiled cache.
+/// configuration writes — the multi-phase shape the AOT cache serves,
+/// so runtime entries hit (or soundly miss) already-compiled phases.
 fn reconfig_program(rng: &mut TestRng) -> Vec<u32> {
     let mut code = Vec::new();
     let blocks = 2 + rng.index(3);

@@ -497,17 +497,10 @@ impl Job {
     /// closure onto whichever worker thread runs it. This is how the
     /// fast-vs-slow differential oracle obtains reference runs of every
     /// kernel family without widening each driver's signature.
-    pub fn with_decode_cache(mut self, enabled: bool) -> Self {
-        self.work = match self.work {
-            JobWork::Machine(mut m) => {
-                m.params = m.params.with_decode_cache(enabled);
-                JobWork::Machine(m)
-            }
-            JobWork::Custom(work) => JobWork::Custom(Box::new(move || {
-                systolic_ring_core::with_decode_cache(enabled, &*work)
-            })),
-        };
-        self
+    pub fn with_decode_cache(self, enabled: bool) -> Self {
+        self.with_tier_flag(enabled, MachineParams::with_decode_cache, |on, work| {
+            systolic_ring_core::with_decode_cache(on, work)
+        })
     }
 
     /// Forces the fused steady-state engine on or off for every machine
@@ -522,17 +515,10 @@ impl Job {
     /// [`Job::with_decode_cache`], and how the three-way differential
     /// oracle (slow / decoded / fused) obtains per-path runs of every
     /// kernel family without widening each driver's signature.
-    pub fn with_fused(mut self, enabled: bool) -> Self {
-        self.work = match self.work {
-            JobWork::Machine(mut m) => {
-                m.params = m.params.with_fused(enabled);
-                JobWork::Machine(m)
-            }
-            JobWork::Custom(work) => JobWork::Custom(Box::new(move || {
-                systolic_ring_core::with_fused(enabled, &*work)
-            })),
-        };
-        self
+    pub fn with_fused(self, enabled: bool) -> Self {
+        self.with_tier_flag(enabled, MachineParams::with_fused, |on, work| {
+            systolic_ring_core::with_fused(on, work)
+        })
     }
 
     /// Forces the ahead-of-time superblock cache on or off for every
@@ -547,15 +533,27 @@ impl Job {
     /// [`Job::with_fused`], and how the four-way differential oracle
     /// (slow / decoded / fused / aot) obtains per-tier runs of every
     /// kernel family without widening each driver's signature.
-    pub fn with_aot(mut self, enabled: bool) -> Self {
+    pub fn with_aot(self, enabled: bool) -> Self {
+        self.with_tier_flag(enabled, MachineParams::with_aot, |on, work| {
+            systolic_ring_core::with_aot(on, work)
+        })
+    }
+
+    /// The one mechanism behind [`Job::with_decode_cache`],
+    /// [`Job::with_fused`] and [`Job::with_aot`]: `set` on a machine job's
+    /// parameters, or a `scope` around a custom job's closure.
+    fn with_tier_flag(
+        mut self,
+        enabled: bool,
+        set: fn(MachineParams, bool) -> MachineParams,
+        scope: fn(bool, &CustomFn) -> Result<JobOutput, String>,
+    ) -> Self {
         self.work = match self.work {
             JobWork::Machine(mut m) => {
-                m.params = m.params.with_aot(enabled);
+                m.params = set(m.params, enabled);
                 JobWork::Machine(m)
             }
-            JobWork::Custom(work) => JobWork::Custom(Box::new(move || {
-                systolic_ring_core::with_aot(enabled, &*work)
-            })),
+            JobWork::Custom(work) => JobWork::Custom(Box::new(move || scope(enabled, &*work))),
         };
         self
     }

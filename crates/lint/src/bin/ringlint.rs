@@ -13,7 +13,7 @@
 //! (`--deny-warnings` is accepted as a no-op for older scripts.)
 //!
 //! With `--json`, human output is replaced by one machine-readable JSON
-//! document on stdout: `{"version":1,"objects":[{"path":...,
+//! document on stdout: `{"version":2,"objects":[{"path":...,
 //! "verdict":"ok"|"fail","report":{...}}]}` with the per-object report
 //! shape pinned by `LintReport::to_json`. Unreadable files appear as
 //! `{"path":...,"verdict":"fail","error":...}` entries.
@@ -96,19 +96,14 @@ fn main() -> ExitCode {
             println!("{path}:   help: {}", diag.help);
         }
         println!(
-            "ringlint: {path}: {} ({} finding(s); steady state: {}; aot: {})",
+            "ringlint: {path}: {} ({} finding(s); steady state: {})",
             if fail { "FAIL" } else { "ok" },
             report.diagnostics.len(),
             report.fusibility,
-            if report.aot_compilable {
-                "compilable at load"
-            } else {
-                "unproven"
-            }
         );
     }
     if json {
-        println!(r#"{{"version":1,"objects":[{}]}}"#, entries.join(","));
+        println!(r#"{{"version":2,"objects":[{}]}}"#, entries.join(","));
     }
     if failed {
         ExitCode::FAILURE

@@ -157,13 +157,6 @@ pub struct LintReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Steady-state classification of the controller program.
     pub fusibility: Fusibility,
-    /// One-sided AOT verdict (`RL-F003`): `true` *guarantees* the core's
-    /// load-time prefill walk compiles at least one steady window, so a
-    /// machine with the `aot` tier enabled holds cached superblocks the
-    /// moment the object is loaded and records `aot_entries > 0` on a run
-    /// past the settle point. `false` claims nothing — the tier may still
-    /// stitch superblocks at run time.
-    pub aot_compilable: bool,
     /// Proof manifest from the verify passes (`RL-Vxxx`/`RL-Hxxx`/
     /// `RL-Txxx`), bound to the object's byte hash. Attach it to a
     /// machine (`RingMachine::attach_proof`) to elide runtime phase

@@ -11,19 +11,9 @@
 //! into control flow — a host pop, a bus read feeding a branch, an
 //! unresolvable indirect jump — the tracer gives up and claims nothing
 //! ([`Fusibility::Unknown`]). It never claims a program will *not* fuse.
-//!
-//! On top of the fusibility verdict the pass makes a second, equally
-//! one-sided claim: **AOT compilability** (`RL-F003`). The core's AOT
-//! tier walks the controller program at object-load time with *blind*
-//! host ports (a `busr` reads an unknowable bus value, a `hpop` stalls on
-//! run-time data; either aborts the walk). If the trace halted without
-//! executing either instruction, and did so within the prefill walk's
-//! retire budget, the load-time walk provably follows the same path and
-//! compiles at least one steady window — so a machine with the `aot` tier
-//! enabled holds compiled superblocks the moment the object is loaded,
-//! and records `aot_entries > 0` once it runs past the settle point.
-//! When the condition fails the pass claims nothing: the tier may still
-//! stitch superblocks at run time.
+//! The same verdict covers the core's `aot` tier, which needs no
+//! detection window at all: past the settle point the controller is
+//! halted, so its first window is compiled on a guard miss and entered.
 
 use std::collections::HashMap;
 
@@ -37,12 +27,6 @@ use crate::LintLimits;
 
 /// Retired-instruction budget before the tracer gives up on a proof.
 const STEP_BUDGET: u64 = 200_000;
-
-/// Retired-instruction budget of the core's AOT prefill walk (mirrors
-/// `PREFILL_RETIRE_BUDGET` in `systolic-ring-core`): past this many traced
-/// instructions the load-time walk gives up, so the `RL-F003` claim must
-/// not extend beyond it.
-const AOT_PREFILL_BUDGET: u64 = 10_000;
 
 /// Slack added to the proven halt cycle: a `ctx` select committed on the
 /// final cycles becomes active one cycle later.
@@ -72,10 +56,6 @@ struct Tracer<'a> {
     pc: u32,
     cycles: u64,
     steps: u64,
-    /// `true` once the trace executed a `busr` — tolerable for the
-    /// fusibility proof (the value lands in a register the proof may
-    /// never need), fatal for the AOT prefill walk (blind read).
-    read_bus: bool,
 }
 
 enum Outcome {
@@ -153,10 +133,7 @@ impl<'a> Tracer<'a> {
                     // cycle plus the stalled ones).
                     self.cycles += u64::from(cycles).saturating_sub(1);
                 }
-                CtrlInstr::Busr { rd } => {
-                    self.read_bus = true;
-                    self.write(rd, Val::Unknown);
-                }
+                CtrlInstr::Busr { rd } => self.write(rd, Val::Unknown),
                 CtrlInstr::Hpop { .. } => {
                     return Outcome::Abandoned {
                         reason: "pops host data (stall duration and value unknowable)".to_owned(),
@@ -321,15 +298,14 @@ fn branch_bail(addr: u32) -> Outcome {
     }
 }
 
-/// Classifies `object` and returns `(fusibility, aot_compilable)`; see
-/// the module docs for both one-sided claims.
+/// Classifies `object`; see the module docs for the one-sided claim.
 pub(crate) fn classify(
     object: &Object,
     limits: &LintLimits,
     facts: &CodeFacts,
     model: &ConfigModel,
     diags: &mut Vec<Diagnostic>,
-) -> (Fusibility, bool) {
+) -> Fusibility {
     // RL-F002: a reachable host pop from a port no capture selector ever
     // feeds (and no reachable `who` could arm at run time) stalls forever.
     let runtime_captures = facts
@@ -360,11 +336,10 @@ pub(crate) fn classify(
         }
     }
 
-    let (fusibility, aot_compilable) = if object.code.is_empty() {
+    let fusibility = if object.code.is_empty() {
         // An empty program leaves the controller halted from reset; the
-        // preloaded configuration is the steady state, and the prefill
-        // walk compiles it at the halt.
-        (Fusibility::Fusible { settle_cycles: 0 }, true)
+        // preloaded configuration is the steady state.
+        Fusibility::Fusible { settle_cycles: 0 }
     } else {
         let mut tracer = Tracer {
             code: &object.code,
@@ -375,22 +350,12 @@ pub(crate) fn classify(
             pc: 0,
             cycles: 0,
             steps: 0,
-            read_bus: false,
         };
         match tracer.run() {
-            Outcome::Halted { cycles } => {
-                // The AOT prefill walks the same path only if nothing the
-                // walk must read blind was executed, and only within its
-                // own retire budget.
-                let aot = !tracer.read_bus && tracer.steps <= AOT_PREFILL_BUDGET;
-                (
-                    Fusibility::Fusible {
-                        settle_cycles: cycles + SETTLE_SLACK,
-                    },
-                    aot,
-                )
-            }
-            Outcome::Abandoned { reason } => (Fusibility::Unknown { reason }, false),
+            Outcome::Halted { cycles } => Fusibility::Fusible {
+                settle_cycles: cycles + SETTLE_SLACK,
+            },
+            Outcome::Abandoned { reason } => Fusibility::Unknown { reason },
         }
     };
     if let Fusibility::Unknown { reason } = &fusibility {
@@ -403,17 +368,5 @@ pub(crate) fn classify(
             "the program may still fuse dynamically; the linter just cannot promise it",
         );
     }
-    if aot_compilable {
-        emit(
-            diags,
-            "RL-F003",
-            Severity::Info,
-            Site::Object,
-            "ahead-of-time compilable: the load-time prefill walk provably reaches a \
-             steady window"
-                .to_owned(),
-            "a machine with the aot tier enabled holds compiled superblocks from load",
-        );
-    }
-    (fusibility, aot_compilable)
+    fusibility
 }

@@ -57,8 +57,8 @@ fn site_json(site: Site) -> String {
 
 impl LintReport {
     /// Renders the report as one compact JSON object with a stable key
-    /// order (`clean`, `fusibility`, `aot_compilable`, `proof`,
-    /// `diagnostics`). Identical reports render byte-identically.
+    /// order (`clean`, `fusibility`, `proof`, `diagnostics`). Identical
+    /// reports render byte-identically.
     pub fn to_json(&self) -> String {
         let fusibility = match &self.fusibility {
             Fusibility::Fusible { settle_cycles } => {
@@ -98,9 +98,8 @@ impl LintReport {
             })
             .collect();
         format!(
-            r#"{{"clean":{},"fusibility":{fusibility},"aot_compilable":{},"proof":{proof},"diagnostics":[{}]}}"#,
+            r#"{{"clean":{},"fusibility":{fusibility},"proof":{proof},"diagnostics":[{}]}}"#,
             self.is_clean(),
-            self.aot_compilable,
             diagnostics.join(",")
         )
     }

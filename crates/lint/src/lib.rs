@@ -19,9 +19,7 @@
 //!    instructions that are statically certain to fault.
 //! 4. **Fusibility** (`RL-Fxxx`) — a conservative proof that the
 //!    configuration settles, cross-checkable against the dynamic fused
-//!    engine (see [`Fusibility`]), plus the one-sided `RL-F003` verdict
-//!    that the AOT tier's load-time prefill walk provably compiles a
-//!    steady window (see [`LintReport::aot_compilable`]).
+//!    engine (see [`Fusibility`]).
 //! 5. **Verify** (`RL-Vxxx`/`RL-Hxxx`/`RL-Txxx`) — abstract
 //!    interpretation over the object: interval value-range analysis of
 //!    the Q-format datapath, reconfiguration-hazard detection across
@@ -124,8 +122,7 @@ pub fn lint_object_expecting(
     let model = model::ConfigModel::build(object, limits, &mut diagnostics);
     dataflow::check(&model, limits, &mut diagnostics);
     let facts = sequencer::check(object, &model, limits, &mut diagnostics);
-    let (fusibility, aot_compilable) =
-        fusibility::classify(object, limits, &facts, &model, &mut diagnostics);
+    let fusibility = fusibility::classify(object, limits, &facts, &model, &mut diagnostics);
     let proof = verify::check(
         object,
         limits,
@@ -137,7 +134,6 @@ pub fn lint_object_expecting(
     LintReport {
         diagnostics,
         fusibility,
-        aot_compilable,
         proof,
     }
 }

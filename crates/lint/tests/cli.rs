@@ -148,7 +148,7 @@ fn json_mode_is_machine_readable_and_stable() {
     assert_eq!(out.status.code(), Some(1), "the gate still applies");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(
-        stdout.starts_with(r#"{"version":1,"objects":["#),
+        stdout.starts_with(r#"{"version":2,"objects":["#),
         "{stdout}"
     );
     assert!(

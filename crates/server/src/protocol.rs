@@ -40,7 +40,7 @@
 //! `ringlint` pre-flight for the requested geometry/sizing is refused
 //! with `400` before it consumes any queue slot.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use systolic_ring_core::{FaultConfig, MachineParams};
 use systolic_ring_harness::admission::JobClass;
@@ -81,6 +81,9 @@ impl Request {
             .any(|(k, v)| k == key && (v == "1" || v.is_empty()))
     }
 }
+
+/// Most body bytes [`read_request`] reserves before any arrive.
+const BODY_RESERVE: usize = 64 * 1024;
 
 /// Reads one request from a keep-alive connection; `None` on clean EOF.
 pub fn read_request(stream: &mut impl BufRead) -> io::Result<Option<Request>> {
@@ -130,8 +133,14 @@ pub fn read_request(stream: &mut impl BufRead) -> io::Result<Option<Request>> {
         }
         headers.push((name, value));
     }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
+    // The header is the client's claim, not an allocation size: reserve
+    // at most `BODY_RESERVE` up front and let the buffer grow only with
+    // bytes that actually arrive.
+    let mut body = Vec::with_capacity(content_length.min(BODY_RESERVE));
+    stream.take(content_length as u64).read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "short body"));
+    }
     Ok(Some(Request {
         method: method.to_ascii_uppercase(),
         path: path.to_owned(),
@@ -728,5 +737,13 @@ mod tests {
         assert_eq!(req.body, b"abc");
         // EOF after the request: keep-alive loop sees a clean close.
         assert!(read_request(&mut reader).expect("io").is_none());
+    }
+
+    #[test]
+    fn huge_content_length_with_a_short_body_is_an_error() {
+        let raw = "POST /v1/jobs HTTP/1.1\r\ncontent-length: 1000000000000\r\n\r\nabc";
+        let mut reader = std::io::BufReader::new(raw.as_bytes());
+        let err = read_request(&mut reader).expect_err("3 of 10^12 bytes");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 }

@@ -30,13 +30,15 @@
 //!
 //! The same scheduler runs in two modes:
 //!
-//! * **threaded** — `N` threads call [`Service::run_worker`]; wall-clock
-//!   deadlines are enforced between slices. This is what `srserved`
-//!   serves over TCP.
+//! * **threaded** — `N` threads call [`Service::run_worker`]. This is
+//!   what `srserved` serves over TCP.
 //! * **scripted** — a single thread interleaves [`Service::submit`] and
-//!   [`Service::tick`] calls; no wall clock is consulted anywhere, so
-//!   queue depths, preemption counts and lane occupancy are exactly
-//!   reproducible. This is what the benchmark trajectory records.
+//!   [`Service::tick`] calls; for jobs without a wall-clock deadline no
+//!   wall clock is consulted anywhere, so queue depths, preemption counts
+//!   and lane occupancy are exactly reproducible. This is what the
+//!   benchmark trajectory records.
+//!
+//! In both modes a job's wall-clock deadline is checked between slices.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -294,8 +296,9 @@ impl Service {
     /// job, an attached retry policy — are [`SubmitError::Invalid`]
     /// *before* touching the queue: they consume no quota and earn no
     /// retry hint, because retrying them is pointless. Everything else
-    /// gets the admission queue's verdict. `wall` arms a wall-clock
-    /// deadline enforced at slice granularity (threaded mode).
+    /// gets the admission queue's verdict. `wall` and the job's own
+    /// [`Job::wall_limit`] both bound its wall-clock time; the tighter of
+    /// the two is armed as a deadline checked after every slice.
     pub fn submit(
         &self,
         tenant: &str,
@@ -313,6 +316,7 @@ impl Service {
                     .into(),
             ));
         }
+        let wall = wall.into_iter().chain(job.wall_limit).min();
         let mut st = self.state.lock().expect("service lock");
         match st.queue.offer(tenant, class) {
             Admission::Admitted { ticket, depth } => {
@@ -481,9 +485,9 @@ impl Service {
 
     /// Scripted single-threaded mode: performs one scheduling step (claim
     /// a unit if none is active, else advance the active unit one slice).
-    /// Returns `false` when there is nothing to do. Never consults the
-    /// wall clock, so interleavings of `submit`/`tick` are exactly
-    /// reproducible.
+    /// Returns `false` when there is nothing to do. Consults the wall
+    /// clock only for jobs with a deadline, so interleavings of
+    /// `submit`/`tick` over jobs without one are exactly reproducible.
     pub fn tick(&self) -> bool {
         let mut st = self.state.lock().expect("service lock");
         let mut unit = match st.current.take() {

@@ -9,6 +9,7 @@ use systolic_ring_core::{FaultConfig, MachineParams};
 use systolic_ring_harness::admission::{AdmissionConfig, JobClass, RejectReason};
 use systolic_ring_harness::job::{CycleBudget, Job, JobFault, JobOutcome};
 use systolic_ring_harness::preempt::RunningJob;
+use systolic_ring_harness::runner::BatchRunner;
 use systolic_ring_isa::ctrl::CtrlInstr;
 use systolic_ring_isa::dnode::{AluOp, MicroInstr, Operand};
 use systolic_ring_isa::object::{Object, Preload};
@@ -442,6 +443,36 @@ fn scripted_armed_jobs_run_alone_so_clean_lanes_share_bursts() {
             out.stats.fused_cycles
         );
     }
+}
+
+/// A job's own wall limit is a deadline the service enforces, as the
+/// batch runner does: a zero limit faults the job at its first slice
+/// boundary instead of letting it run its whole budget.
+#[test]
+fn scripted_service_honours_the_job_wall_limit() {
+    let expired = || stream_job("alice", 1, 4096).with_wall_limit(Duration::ZERO);
+    let want = JobOutcome::Fault(JobFault::WallLimit {
+        limit: Duration::ZERO,
+    });
+    let serial = BatchRunner::run_serial(&[expired()]);
+    assert_eq!(
+        serial.reports[0].outcome, want,
+        "the batch runner's verdict"
+    );
+
+    let service = Service::new(ServiceConfig::default());
+    let ok = service
+        .submit("alice", JobClass::Batch, expired(), None)
+        .expect("admitted");
+    service.run_idle();
+    assert_eq!(done_outcome(service.status(ok.ticket)), want);
+    let stats = service.stats();
+    assert_eq!((stats.completed, stats.faulted), (0, 1));
+    assert!(
+        stats.advanced_cycles < 4096,
+        "the job ran its whole budget: {} cycles",
+        stats.advanced_cycles
+    );
 }
 
 // ---------------------------------------------------------------------

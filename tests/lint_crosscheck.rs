@@ -8,16 +8,13 @@
 //!   statically-preventable `SimError` classes (`PcOutOfRange`,
 //!   `BadInstruction`, `BadConfigWrite`), and
 //! * a **`Fusible { settle_cycles }`** verdict must be honored by the
-//!   dynamic fused engine: running past the proven settle point on a
-//!   paper-faithful machine must record `fused_entries > 0`, and
-//! * an **`aot_compilable`** verdict (`RL-F003`) must be honored by the
-//!   AOT tier: the load-time prefill walk must cache at least one
-//!   compiled superblock before the machine runs a single cycle, and a
-//!   run past the settle point must record `aot_entries > 0`, and
+//!   dynamic engines: running past the proven settle point on a
+//!   paper-faithful machine must record `fused_entries > 0`, and on a
+//!   machine with the aot tier enabled `aot_entries > 0`, and
 //! * the **verify-pass proofs** must be honored dynamically: a proven
 //!   `cycle_bound` dominates (without being vacuously above) the actual
 //!   halt cycle, proven per-Dnode output ranges contain every value the
-//!   Dnode actually produces, an attached manifest makes the AOT tier
+//!   Dnode actually produces, an attached manifest makes the fused tier
 //!   elide guards without changing a single architectural counter, and
 //!   all of it stays sound under randomized object mutation.
 
@@ -135,7 +132,8 @@ fn clean_objects_never_raise_preventable_faults() {
 
 /// A `Fusible { settle_cycles }` verdict is a guarantee: past the proven
 /// settle point, a paper-faithful machine (fused engine enabled) must
-/// enter at least one fused burst.
+/// enter at least one fused burst, and a machine with the aot tier
+/// enabled at least one superblock.
 #[test]
 fn fusible_verdict_is_honored_by_the_fused_engine() {
     let mut proven = 0;
@@ -146,65 +144,30 @@ fn fusible_verdict_is_honored_by_the_fused_engine() {
         };
         proven += 1;
         let geometry = object.geometry.unwrap_or(RingGeometry::RING_8);
-        let mut m = RingMachine::new(geometry, MachineParams::PAPER);
-        m.load(&object).unwrap_or_else(|e| panic!("{name}: {e}"));
-        stimulate(&mut m);
-        // Run well past the proven settle point: enough for the fused
-        // engine's stability window plus a minimum burst.
-        m.run(settle_cycles + 256)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let run = |params: MachineParams| {
+            let mut m = RingMachine::new(geometry, params);
+            m.load(&object).unwrap_or_else(|e| panic!("{name}: {e}"));
+            stimulate(&mut m);
+            // Run well past the proven settle point: enough for the fused
+            // engine's stability window plus a minimum burst.
+            m.run(settle_cycles + 256)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            m.stats().clone()
+        };
+        let fused = run(MachineParams::PAPER);
         assert!(
-            m.stats().fused_entries > 0,
+            fused.fused_entries > 0,
             "{name}: predicted fusible by cycle {settle_cycles}, but the fused engine \
-             never engaged (stats: {:?})",
-            m.stats()
+             never engaged (stats: {fused:?})"
+        );
+        let aot = run(MachineParams::PAPER.with_aot(true));
+        assert!(
+            aot.aot_entries > 0,
+            "{name}: predicted fusible by cycle {settle_cycles}, but the aot tier \
+             never entered a superblock (stats: {aot:?})"
         );
     }
     assert!(proven >= 5, "expected most of the corpus to prove fusible");
-}
-
-/// An `aot_compilable` verdict (`RL-F003`) is a guarantee on both ends of
-/// the tier: superblocks are cached at load time (before any cycle runs),
-/// and a run past the proven settle point enters at least one of them.
-#[test]
-fn aot_verdict_is_honored_by_the_prefill_and_the_tier() {
-    let mut proven = 0;
-    for (name, object) in corpus() {
-        let report = lint_object(&object);
-        // The verdict and its diagnostic move together.
-        assert_eq!(
-            report.aot_compilable,
-            report.diagnostics.iter().any(|d| d.code == "RL-F003"),
-            "{name}: RL-F003 diagnostic out of step with the verdict"
-        );
-        if !report.aot_compilable {
-            continue;
-        }
-        let Fusibility::Fusible { settle_cycles } = report.fusibility else {
-            panic!("{name}: aot_compilable without a fusible settle proof");
-        };
-        proven += 1;
-        let geometry = object.geometry.unwrap_or(RingGeometry::RING_8);
-        let mut m = RingMachine::new(geometry, MachineParams::PAPER.with_aot(true));
-        m.load(&object).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(
-            m.aot_cached_programs() > 0,
-            "{name}: predicted aot-compilable, but the load-time prefill cached nothing"
-        );
-        stimulate(&mut m);
-        m.run(settle_cycles + 256)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(
-            m.stats().aot_entries > 0,
-            "{name}: predicted aot-compilable, but the AOT tier never entered a \
-             superblock (stats: {:?})",
-            m.stats()
-        );
-    }
-    assert!(
-        proven >= 5,
-        "expected most of the corpus to prove aot-compilable"
-    );
 }
 
 /// The prediction agrees with the engine on the negative side too, in the
@@ -318,10 +281,10 @@ fn proven_out_ranges_cover_every_dynamic_output() {
     );
 }
 
-/// Attaching the proof manifest to an AOT-tier machine elides runtime
-/// guards on at least half the corpus — and changes nothing else: halt
-/// cycle, sink streams and every architectural counter stay bit-identical
-/// to the proof-less run.
+/// Attaching the proof manifest to a paper-faithful machine elides the
+/// fused tier's stability guard on at least half the corpus — and changes
+/// nothing else: halt cycle, sink streams and every architectural counter
+/// stay bit-identical to the proof-less run.
 #[test]
 fn attached_proofs_elide_guards_without_architectural_change() {
     let mut total = 0;
@@ -332,7 +295,7 @@ fn attached_proofs_elide_guards_without_architectural_change() {
         let geometry = object.geometry.unwrap_or(RingGeometry::RING_8);
         let sink_ports = exp.sink_ports();
         let run = |attach: bool| {
-            let mut m = RingMachine::new(geometry, MachineParams::PAPER.with_aot(true));
+            let mut m = RingMachine::new(geometry, MachineParams::PAPER);
             m.load(&object).unwrap_or_else(|e| panic!("{name}: {e}"));
             if attach {
                 assert!(
