@@ -23,10 +23,10 @@
 //! comparator never looks at `mcyc_per_s`, so a fresh gate run can skip
 //! the timing loops entirely (`wall = None`) and stay fast.
 //!
-//! On the `aot` rows the `fused_coverage` column records the *combined
-//! compiled* coverage — `(fused_cycles + aot_cycles) / cycles` — since
-//! the AOT tier falls back to the fused engine between superblocks and
-//! the gated claim is "cycles not interpreted".
+//! The `fused_coverage` column records the *combined compiled* coverage —
+//! `(fused_cycles + aot_cycles) / cycles` — since single-machine bursts
+//! count under `aot_*` on the `aot` tier and under `fused_*` elsewhere,
+//! and the gated claim is "cycles not interpreted".
 //!
 //! [`experiments_md`] renders the generated EXPERIMENTS.md tables
 //! (Extensions A8, A10, A11, A12 and A13) from the *checked-in* files,
@@ -662,7 +662,7 @@ mod tests {
         assert!(fused.fused_coverage.unwrap() > 0.0);
         assert_eq!(fused.deopts, Some(0));
         // The aot tier's combined compiled coverage can only gain on the
-        // fused tier: every fused window is also an AOT candidate.
+        // fused tier: it admits every fused window plus schedule bursts.
         let aot = a.find("table1_motion", "aot").unwrap();
         assert!(aot.fused_coverage.unwrap() >= fused.fused_coverage.unwrap() - 1e-9);
     }

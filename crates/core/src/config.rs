@@ -192,8 +192,8 @@ impl ConfigLayer {
     /// The context id a fault or watchdog report should carry: the staged
     /// select target when a context switch is pending commit (the switch
     /// is architecturally decided at this boundary), else the active
-    /// index. Keeps same-cycle deopt + trip reports from naming the stale
-    /// pre-switch context.
+    /// index. Keeps a trip landing on the cycle of a context switch from
+    /// naming the stale pre-switch context.
     pub(crate) fn architectural_ctx(&self) -> usize {
         self.staged_active.unwrap_or(self.active)
     }
@@ -434,7 +434,7 @@ impl ConfigLayer {
     }
 
     /// `true` while a context switch is staged but not yet committed; the
-    /// fused engine refuses to enter a burst in that state (the decoded
+    /// compiled tier refuses to enter a burst in that state (the decoded
     /// path commits the switch at the next cycle boundary).
     pub(crate) fn select_pending(&self) -> bool {
         self.staged_active.is_some()

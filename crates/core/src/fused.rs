@@ -1,4 +1,4 @@
-//! The fused steady-state execution engine.
+//! The compiled execution tier.
 //!
 //! Most DSP kernels run the ring in a *steady state*: the active context's
 //! configuration is static for long windows, local-mode Dnodes replay
@@ -33,53 +33,84 @@
 //!   arrays, amortizing the schedule walk across a whole batch of jobs
 //!   (the harness groups jobs with identical object programs onto it).
 //!
-//! # Entry and deoptimization
+//! # The program cache
 //!
-//! A burst is entered only from [`crate::RingMachine::run`] /
-//! [`crate::RingMachine::run_until_halt`] (never from
-//! [`crate::RingMachine::step`], so single-cycle stepping and per-cycle
-//! tracing always take the decoded path), and only when the machine is
-//! *quiescent*: controller halted or mid-`wait`, no fault injector armed,
-//! no watchdog, no staged context switch, and the configuration epochs
-//! stable for `DETECTION_WINDOW` cycles. Any reconfiguration write, mode
-//! flip, sequencer write or context switch bumps an epoch the engine
-//! stamps its program with, which invalidates the program
-//! ([`crate::Stats::fused_deopts`]) and falls back to the decoded path;
-//! arming a fault injector or watchdog does the same. Since nothing that
-//! can fault executes inside a burst (no controller instructions, no
-//! configuration writes, no detection sweeps), a burst cannot fail
-//! mid-flight — the PR-3 cycle-boundary fail-stop contract is preserved
-//! bit-for-bit by construction.
+//! Each machine keeps its compiled programs in one cache keyed by
+//! configuration *content*: every active-context microinstruction, route
+//! and capture, every Dnode's mode, and each local sequencer's limit and
+//! live slots, compared word for word. The Systolic Ring's controller
+//! switches among stored contexts while the ring runs, so what decides a
+//! window's behaviour is what the configuration holds, not how long it
+//! has held it:
+//!
+//! * **Guard miss.** A window whose content matches no cached program
+//!   compiles it on the spot and enters it at once
+//!   ([`crate::Stats::guard_misses`], [`crate::Stats::compiles`]). The
+//!   cache starts empty at [`RingMachine::load`], so this is how every
+//!   window is compiled the first time.
+//! * **Re-entry.** Rewriting a context with identical words, or cycling
+//!   A→B→A, re-enters the cached program. The epoch fingerprint
+//!   (`FusedStamps`) memoizes recent resolutions: equal stamps prove
+//!   the content unchanged without re-serializing it.
+//! * **Re-anchoring.** A program's phase 0 is anchored at the sequencer
+//!   counters it was compiled against; when the live counters leave that
+//!   orbit (a `wlim` reset skewing one Dnode), the entry is recompiled in
+//!   place under the same key.
+//!
+//! # Admission
+//!
+//! Compiled bursts are entered only from [`crate::RingMachine::run`],
+//! [`crate::RingMachine::run_until_halt`] and [`lockstep_burst`] (never
+//! from [`crate::RingMachine::step`], so single-cycle stepping and
+//! per-cycle tracing always take the decoded path), under one rule: the
+//! controller is halted or mid-`wait`, no fault injector is armed, no
+//! context select is staged, the window is at least `MIN_BURST` (8) cycles,
+//! and under an armed watchdog only provably quiet windows (direct link,
+//! input streams drained, no open sinks) bounded to end no later than the
+//! earliest possible trip — so the skipped per-cycle boundary checks are
+//! exact no-ops and a due trip is raised by the decoded path at the same
+//! cycle. The `aot` tier adds running-controller schedule bursts on the
+//! same cache (`crate::aot`). Since nothing that can fault executes
+//! inside a burst (no controller instructions, no configuration writes,
+//! no detection sweeps), a burst cannot fail mid-flight — the
+//! cycle-boundary fail-stop contract is preserved bit-for-bit by
+//! construction.
 
 use systolic_ring_isa::dnode::{AluOp, DnodeMode};
 use systolic_ring_isa::{RingGeometry, Word16};
 
+use crate::config::ConfigLayer;
 use crate::controller::CtrlState;
 use crate::dnode::DnodeState;
 use crate::machine::RingMachine;
+use crate::params::LinkModel;
 use crate::plan::{CtxPlan, DecodedOp, FastSrc};
 use crate::switch::{PushOutcome, WordFifo};
-
-/// Cycles the configuration epochs must have been stable before a window
-/// is considered steady-state and compiled. Also guarantees the decoded
-/// path (and its cache counters) is exercised at the start of every run
-/// and after every reconfiguration, so short steady regions between
-/// context rewrites still pay for their decode-cache refills before the
-/// fused engine takes over.
-pub(crate) const DETECTION_WINDOW: u64 = 32;
 
 /// Minimum burst length worth the gather/scatter round trip.
 pub(crate) const MIN_BURST: u64 = 8;
 
+/// Most compiled programs kept per machine. Conformance kernels use a
+/// handful of configuration phases; the cap is a backstop against
+/// pathological controller programs that generate unbounded distinct
+/// configurations (eviction is FIFO — oldest program first).
+const PROGRAM_CACHE_CAP: usize = 64;
+
+/// Recently resolved stamps the cache remembers; schedules ping-pong
+/// among a handful of contexts, so a short most-recently-used list hits
+/// on every segment of a steady multi-phase loop.
+const STAMP_MEMO_CAP: usize = 8;
+
 /// Flat-index sentinel for "no destination / not present".
 const NONE32: u32 = u32::MAX;
 
-/// The configuration-epoch fingerprint a [`FusedProgram`] is valid for.
+/// The configuration-epoch fingerprint the program cache memoizes
+/// resolutions under.
 ///
 /// Every mutation that could change compiled behaviour bumps one of these
 /// monotonic clocks (see [`crate::config::ConfigLayer`] and
-/// [`crate::plan::DecodedPlan`]); equality therefore proves the program
-/// still matches the machine.
+/// [`crate::plan::DecodedPlan`]); equality therefore proves the content
+/// key, and so the resolved cache entry, unchanged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct FusedStamps {
     ctx: usize,
@@ -146,7 +177,7 @@ struct PhaseMeta {
 pub(crate) struct FusedProgram {
     /// `lcm` of the local-mode sequencer limits (1 with none in local
     /// mode).
-    pub(crate) period: u32,
+    period: u32,
     /// Geometry snapshot the flat indices were computed against.
     dnodes: u32,
     width: u32,
@@ -186,30 +217,13 @@ impl FusedProgram {
 
     /// Finds the phase matching the machine's current sequencer counters,
     /// trying `hint` first (the phase a previous burst stopped before).
-    pub(crate) fn find_phase(&self, hint: u32, dnodes: &[DnodeState]) -> Option<u32> {
+    fn find_phase(&self, hint: u32, dnodes: &[DnodeState]) -> Option<u32> {
         let hint = hint % self.period;
         if self.phase_matches(hint, dnodes) {
             return Some(hint);
         }
         (0..self.period).find(|&p| self.phase_matches(p, dnodes))
     }
-}
-
-/// Per-machine fused-engine state: the compiled program, the epoch stamps
-/// it is valid for, and the stability bookkeeping that gates entry.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct FusedEngine {
-    program: Option<FusedProgram>,
-    /// Epoch fingerprint observed at the last quiescent check.
-    stamps: Option<FusedStamps>,
-    /// Cycles executed since the stamps last changed.
-    stable_cycles: u64,
-    /// Machine cycle of the last quiescent check.
-    last_seen_cycle: u64,
-    /// Entry phase prepared for the imminent burst.
-    entry_phase: u32,
-    /// Phase the next burst is expected to start at (hint).
-    next_phase: u32,
 }
 
 fn gcd(a: u32, b: u32) -> u32 {
@@ -267,13 +281,7 @@ fn lower_src(
 
 /// Compiles the active context's decoded plan into a [`FusedProgram`],
 /// with phase 0 anchored at the local sequencers' *current* counters.
-/// Shared by the fused engine and the AOT phase cache (`crate::aot`).
-pub(crate) fn compile(
-    cp: &CtxPlan,
-    dnodes: &[DnodeState],
-    g: RingGeometry,
-    depth: usize,
-) -> FusedProgram {
+fn compile(cp: &CtxPlan, dnodes: &[DnodeState], g: RingGeometry, depth: usize) -> FusedProgram {
     let width = g.width();
     let mut locals: Vec<(u32, u8, u8)> = Vec::new();
     for &d32 in &cp.work {
@@ -410,24 +418,18 @@ fn read_src(src: FusedSrc, lane: usize, v: &LaneView<'_>) -> Word16 {
 }
 
 /// Replays `program` for `k` cycles over all `lanes` in lockstep,
-/// starting at phase `entry`. Every lane must have been prepared
-/// (validated + entered) by [`RingMachine::prepare_fused`], and for
-/// multi-lane calls the prepared programs must be equal.
+/// starting at phase `entry`. Every lane must have passed the admission
+/// rule ([`RingMachine::quiet_window`] or a schedule lookahead) and
+/// resolved `program` at phase `entry` from its own cache.
 ///
 /// Infallible by construction: nothing inside a burst can raise a
 /// [`crate::SimError`] (no controller execution, no configuration writes,
 /// no fault machinery).
 ///
-/// `aot` selects which engine's entry/cycle counters account the burst
+/// `aot` selects which counters account the burst
 /// ([`crate::Stats::aot_entries`] vs [`crate::Stats::fused_entries`]); the
 /// architectural effects are identical.
-pub(crate) fn execute(
-    program: &FusedProgram,
-    entry: u32,
-    lanes: &mut [&mut RingMachine],
-    k: u64,
-    aot: bool,
-) {
+fn execute(program: &FusedProgram, entry: u32, lanes: &mut [&mut RingMachine], k: u64, aot: bool) {
     // Monomorphize the hot lane counts: a literal `L` lets every
     // `* l + lane` fold to a plain index and the per-lane loops unroll
     // (1 = the single-machine path, 16 = a full lane group in the batch
@@ -678,11 +680,91 @@ fn execute_impl<const L: usize>(
     }
 }
 
+/// One compiled configuration window.
+#[derive(Clone, Debug)]
+struct CacheEntry {
+    /// Canonical serialization of the configuration content the program
+    /// was compiled from (see [`content_key`]).
+    key: Vec<u64>,
+    program: FusedProgram,
+    /// Phase the next burst through this entry is expected to start at.
+    next_phase: u32,
+}
+
+/// Per-machine compiled-tier state: the content-keyed program cache plus
+/// the stamps memo that skips re-serialization on already-seen epochs.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ProgramCache {
+    entries: Vec<CacheEntry>,
+    /// Resolved (fingerprint → entry) pairs, most recent first; an equal
+    /// fingerprint proves the content key (and therefore the entry)
+    /// without re-serializing it, because every content mutation bumps
+    /// an epoch or clock in the fingerprint.
+    stamp_memo: Vec<(FusedStamps, usize)>,
+    /// Cycle before which a running-controller schedule lookahead is known
+    /// to come up short (see `crate::aot`): the instruction that stopped
+    /// the last lookahead cannot retire before this cycle, so re-walking
+    /// earlier is wasted work (the lookahead is deterministic).
+    pub(crate) schedule_stuck_until: u64,
+}
+
+impl ProgramCache {
+    fn insert(&mut self, entry: CacheEntry) -> usize {
+        if self.entries.len() >= PROGRAM_CACHE_CAP {
+            self.entries.remove(0);
+            // Indices shifted: the memo may name wrong entries now.
+            self.stamp_memo.clear();
+        }
+        self.entries.push(entry);
+        self.entries.len() - 1
+    }
+}
+
+/// Serializes everything a compiled program's behaviour depends on:
+/// the active context's microinstructions, routes and captures, every
+/// Dnode's mode, and — for local-mode Dnodes — the sequencer limit and
+/// the slots below it.
+///
+/// Deliberately excluded: sequencer *counters* (handled by
+/// [`FusedProgram::find_phase`] / re-anchoring), slots at or above the
+/// limit (unreachable until a `wlim` raises it, which changes the key),
+/// and all datapath state (registers, outputs, pipelines, FIFOs, bus),
+/// which the replay engine reads live.
+fn content_key(config: &ConfigLayer, dnodes: &[DnodeState], g: RingGeometry) -> Vec<u64> {
+    let width = g.width();
+    let ctx = config.active();
+    let mut key = Vec::with_capacity(g.dnodes() * 3 + g.switches() * width * 5);
+    for d in 0..g.dnodes() {
+        key.push(ctx.dnode_instr(d).encode());
+    }
+    for s in 0..g.switches() {
+        for lane in 0..width {
+            for port in 0..4 {
+                key.push(u64::from(ctx.port(width, s, lane, port).encode()));
+            }
+        }
+        for port in 0..width {
+            key.push(u64::from(ctx.capture(width, s, port).encode()));
+        }
+    }
+    for d in dnodes {
+        match d.mode() {
+            DnodeMode::Global => key.push(0),
+            DnodeMode::Local => {
+                let seq = d.sequencer();
+                key.push(1 | u64::from(seq.limit()) << 1);
+                for slot in 0..usize::from(seq.limit()) {
+                    key.push(seq.slot(slot).encode());
+                }
+            }
+        }
+    }
+    key
+}
+
 impl RingMachine {
-    /// The current configuration-epoch fingerprint (also the AOT guard's
-    /// cheap content-unchanged revalidation: equal stamps prove no
-    /// configuration, mode or sequencer write happened in between).
-    pub(crate) fn fused_stamps(&self) -> FusedStamps {
+    /// The current configuration-epoch fingerprint.
+    fn fused_stamps(&self) -> FusedStamps {
         let ctx = self.config.active_index();
         let (modes_clock, seq_clock) = self.plan.clocks();
         FusedStamps {
@@ -694,190 +776,232 @@ impl RingMachine {
         }
     }
 
-    /// Drops a live compiled program, counting the deoptimization.
-    fn fused_deopt_if_live(&mut self) {
-        if let Some(engine) = &mut self.fused {
-            if engine.program.take().is_some() {
-                self.stats.fused_deopts += 1;
-            }
-            engine.stamps = None;
-            engine.stable_cycles = 0;
-        }
+    /// Number of compiled programs in the program cache. Exposed for
+    /// tests.
+    pub fn cached_programs(&self) -> usize {
+        self.programs.as_ref().map_or(0, |c| c.entries.len())
     }
 
-    /// Gatekeeper for fused execution: checks quiescence, maintains the
-    /// epoch-stability window, compiles (or revalidates) the program and
-    /// locates the entry phase. Returns the admissible burst length
-    /// (`<= remaining`), or `None` to stay on the decoded path.
-    pub(crate) fn prepare_fused(&mut self, remaining: u64) -> Option<u64> {
-        if !self.params.fused || !self.params.decode_cache {
-            return None;
+    /// Compiles the active context against the live sequencer counters,
+    /// bringing the decoded plan (the compiler's input) up to date first
+    /// and counting its misses exactly as the decoded path would.
+    fn compile_active(&mut self) -> FusedProgram {
+        let active = self.config.active_index();
+        let misses = self
+            .plan
+            .refresh(active, &self.config, &self.dnodes, self.geometry);
+        self.stats.decode_cache_misses += misses;
+        self.stats.compiles += 1;
+        compile(
+            self.plan.context_plan(active),
+            &self.dnodes,
+            self.geometry,
+            self.params.pipe_depth,
+        )
+    }
+
+    /// Resolves the current configuration content against the cache,
+    /// compiling it on a guard miss. Returns the entry index, remembered
+    /// under the current epoch stamps for the next resolution.
+    fn resolve(&mut self, cache: &mut ProgramCache) -> usize {
+        let stamps = self.fused_stamps();
+        if let Some(pos) = cache.stamp_memo.iter().position(|(s, _)| *s == stamps) {
+            let hit = cache.stamp_memo.remove(pos);
+            cache.stamp_memo.insert(0, hit);
+            return hit.1;
         }
-        if self.fault.is_some() || self.params.watchdog_interval > 0 {
-            // Persistent ineligibility: armed fault machinery or watchdog
-            // demand the per-cycle bracketing of the decoded path.
-            self.fused_deopt_if_live();
-            return None;
+        let key = content_key(&self.config, &self.dnodes, self.geometry);
+        let idx = match cache.entries.iter().position(|e| e.key == key) {
+            Some(i) => i,
+            None => {
+                self.stats.guard_misses += 1;
+                let program = self.compile_active();
+                cache.insert(CacheEntry {
+                    key,
+                    program,
+                    next_phase: 0,
+                })
+            }
+        };
+        cache.stamp_memo.insert(0, (stamps, idx));
+        cache.stamp_memo.truncate(STAMP_MEMO_CAP);
+        idx
+    }
+
+    /// Locates the entry phase of `cache.entries[idx]` against the live
+    /// sequencer counters, re-anchoring (recompiling in place, same
+    /// content key) when the counters left the compiled orbit.
+    fn anchor(&mut self, cache: &mut ProgramCache, idx: usize) -> u32 {
+        let entry = &cache.entries[idx];
+        if let Some(p) = entry.program.find_phase(entry.next_phase, &self.dnodes) {
+            return p;
         }
-        let window = match self.controller.state() {
+        cache.entries[idx].program = self.compile_active();
+        0
+    }
+
+    /// Runs `len` cycles as one single-lane burst through the cached
+    /// program for the current configuration, compiling it on a guard
+    /// miss. The burst counts under `aot_*` on the `aot` tier and under
+    /// `fused_*` otherwise.
+    pub(crate) fn cached_burst(&mut self, cache: &mut ProgramCache, len: u64) {
+        let idx = self.resolve(cache);
+        let phase = self.anchor(cache, idx);
+        let aot = self.params.aot;
+        let entry = &mut cache.entries[idx];
+        execute(&entry.program, phase, &mut [&mut *self], len, aot);
+        entry.next_phase = ((u64::from(phase) + len) % u64::from(entry.program.period)) as u32;
+    }
+
+    /// `true` unless something demands per-cycle stepping: the compiled
+    /// tier switched off, an armed fault injector (its injection and
+    /// detection bracket every cycle) or a staged context select.
+    pub(crate) fn may_burst(&self) -> bool {
+        self.params.fused
+            && self.params.decode_cache
+            && self.fault.is_none()
+            && !self.config.select_pending()
+    }
+
+    /// The admission rule of every quiet-window burst (see the module
+    /// docs). Returns the cycles a burst may cover from here, at most
+    /// `remaining`, or 0 to stay on the decoded path.
+    fn quiet_window(&mut self, remaining: u64) -> u64 {
+        if !self.may_burst() {
+            return 0;
+        }
+        let mut window = match self.controller.state() {
             CtrlState::Halted => remaining,
             CtrlState::Waiting(n) => remaining.min(u64::from(n)),
-            CtrlState::Running => 0,
+            CtrlState::Running => return 0,
         };
-        if window == 0 || self.config.select_pending() {
-            // Transient: the program (if any) stays cached; a real
-            // configuration change will show up in the stamps.
-            return None;
+        if window >= MIN_BURST && self.params.watchdog_interval > 0 {
+            if self.params.link != LinkModel::Direct
+                || !self.host.inputs_drained()
+                || self.host.any_sink_open()
+            {
+                return 0;
+            }
+            // Fold outstanding progress into the heartbeat — the update
+            // half of the boundary checks the burst skips — then end the
+            // burst no later than the earliest possible trip.
+            self.watchdog_observe();
+            window = window.min(self.watchdog_margin());
         }
-        let stamps = self.fused_stamps();
-        let mut engine = self.fused.take().unwrap_or_default();
-        let prepared = (|| {
-            match engine.stamps {
-                Some(prev) if prev == stamps => {
-                    engine.stable_cycles += self.cycle - engine.last_seen_cycle;
-                }
-                Some(_) => {
-                    if engine.program.take().is_some() {
-                        self.stats.fused_deopts += 1;
-                    }
-                    engine.stamps = Some(stamps);
-                    engine.stable_cycles = 0;
-                }
-                None => {
-                    engine.stamps = Some(stamps);
-                    engine.stable_cycles = 0;
-                }
-            }
-            engine.last_seen_cycle = self.cycle;
-            if window < MIN_BURST {
-                return None;
-            }
-            if engine.stable_cycles < DETECTION_WINDOW {
-                // Stability not yet *observed* — but an attached proof
-                // manifest may have *proven* it: past the manifest's
-                // stability cycle no configuration write can happen on any
-                // execution path, so the detection window is pure warm-up
-                // and the engine may engage immediately. The burst itself
-                // is bit-identical replay either way; only the entry
-                // heuristic is waived.
-                match self.proof_stable_from {
-                    Some(stable) if self.cycle >= stable => {
-                        self.stats.guards_elided += 1;
-                    }
-                    _ => return None,
-                }
-            }
-            let active = self.config.active_index();
-            let misses = self
-                .plan
-                .refresh(active, &self.config, &self.dnodes, self.geometry);
-            if misses > 0 {
-                self.stats.decode_cache_misses += misses;
-            }
-            if engine.program.is_none() {
-                engine.program = Some(compile(
-                    self.plan.context_plan(active),
-                    &self.dnodes,
-                    self.geometry,
-                    self.params.pipe_depth,
-                ));
-                engine.next_phase = 0;
-            }
-            let entry = engine
-                .program
-                .as_ref()
-                .expect("program just ensured")
-                .find_phase(engine.next_phase, &self.dnodes);
-            engine.entry_phase = match entry {
-                Some(p) => p,
-                None => {
-                    // Sequencer counters no longer line up with the
-                    // compiled phase origin: re-anchor at the current
-                    // counters (always succeeds with entry phase 0).
-                    engine.program = Some(compile(
-                        self.plan.context_plan(active),
-                        &self.dnodes,
-                        self.geometry,
-                        self.params.pipe_depth,
-                    ));
-                    0
-                }
-            };
-            Some(window)
-        })();
-        self.fused = Some(engine);
-        prepared
+        if window < MIN_BURST {
+            0
+        } else {
+            window
+        }
     }
 
-    /// Attempts one single-lane fused burst of up to `remaining` cycles;
-    /// returns the cycles executed (0 = not entered).
-    pub(crate) fn try_fused(&mut self, remaining: u64) -> u64 {
-        let Some(window) = self.prepare_fused(remaining) else {
-            return 0;
-        };
-        let mut engine = self.fused.take().expect("engine prepared");
-        let program = engine.program.take().expect("program prepared");
-        let entry = engine.entry_phase;
-        {
-            let mut lanes = [&mut *self];
-            execute(&program, entry, &mut lanes, window, false);
+    /// Attempts one compiled burst of up to `remaining` cycles: a
+    /// quiet-window burst, or on the `aot` tier a running-controller
+    /// schedule burst. Returns the cycles executed (0 = not entered).
+    pub(crate) fn try_burst(&mut self, remaining: u64) -> u64 {
+        if self.params.aot && self.controller.state() == CtrlState::Running {
+            return self.try_schedule(remaining);
         }
-        engine.next_phase = ((u64::from(entry) + window) % u64::from(program.period)) as u32;
-        engine.program = Some(program);
-        self.fused = Some(engine);
+        let window = self.quiet_window(remaining);
+        if window > 0 {
+            let mut cache = self.programs.take().unwrap_or_default();
+            self.cached_burst(&mut cache, window);
+            self.programs = Some(cache);
+        }
         window
     }
 }
 
-/// Steps `lanes` machines in lockstep through one shared fused burst of at
-/// most `max_cycles` cycles, returning the cycles executed (0 = the burst
-/// was not entered and no machine advanced).
+/// Steps `lanes` machines in lockstep through one shared compiled burst
+/// of at most `max_cycles` cycles, returning the cycles executed (0 = the
+/// burst was not entered and no machine advanced).
 ///
-/// Entry requires *every* lane to be individually fusible right now (see
-/// [`crate::MachineParams::fused`]) and all lanes to have compiled equal
-/// programs at the same entry phase — the batch runner arranges this by
-/// grouping jobs that share an identical object program and cycle budget.
-/// When the burst executes, all lanes advance exactly `max_cycles`
-/// (bounded by each lane's own admissible window) over shared lane-major
-/// state arrays, so per-cycle schedule-walk costs are paid once for the
-/// whole group. Each lane's statistics account the burst with
+/// Entry requires *every* lane to pass the quiet-window admission rule
+/// (see the module docs) and all lanes to resolve equal programs at the
+/// same entry phase from their own caches — the batch runner arranges
+/// this by grouping jobs that share an identical object program and cycle
+/// budget. When the burst executes, all lanes advance exactly the
+/// smallest admissible window over shared lane-major state arrays, so
+/// per-cycle schedule-walk costs are paid once for the whole group. Each
+/// lane's statistics account the burst under `fused_*` with
 /// `fused_lane_occupancy = cycles * lanes` (see
 /// [`crate::Stats::fused_lane_occupancy`]).
 ///
-/// Machines left unentered (return 0) are completely untouched; callers
-/// fall back to stepping them individually.
+/// Machines left unentered (return 0) are architecturally untouched;
+/// callers fall back to stepping them individually.
 pub fn lockstep_burst(lanes: &mut [&mut RingMachine], max_cycles: u64) -> u64 {
-    if lanes.is_empty() || max_cycles == 0 {
+    if lanes.is_empty() {
         return 0;
     }
     let mut window = max_cycles;
     for m in lanes.iter_mut() {
-        match m.prepare_fused(window) {
-            Some(w) => window = window.min(w),
-            None => return 0,
+        window = m.quiet_window(window);
+        if window == 0 {
+            return 0;
         }
     }
-    {
-        let first = lanes[0].fused.as_ref().expect("prepared");
-        let program = first.program.as_ref().expect("prepared");
-        let entry = first.entry_phase;
-        for m in lanes[1..].iter() {
-            let engine = m.fused.as_ref().expect("prepared");
-            if engine.entry_phase != entry || engine.program.as_ref() != Some(program) {
-                return 0;
-            }
+    let mut caches = Vec::with_capacity(lanes.len());
+    let mut picks = Vec::with_capacity(lanes.len());
+    for m in lanes.iter_mut() {
+        let mut cache = m.programs.take().unwrap_or_default();
+        let idx = m.resolve(&mut cache);
+        picks.push((idx, m.anchor(&mut cache, idx)));
+        caches.push(cache);
+    }
+    let (idx0, phase) = picks[0];
+    let program = &caches[0].entries[idx0].program;
+    let entered = caches
+        .iter()
+        .zip(&picks)
+        .all(|(c, &(i, p))| p == phase && c.entries[i].program == *program);
+    if entered {
+        execute(program, phase, lanes, window, false);
+        let next = ((u64::from(phase) + window) % u64::from(program.period)) as u32;
+        for (c, &(i, _)) in caches.iter_mut().zip(&picks) {
+            c.entries[i].next_phase = next;
         }
     }
-    let mut engine0 = lanes[0].fused.take().expect("prepared");
-    let program = engine0.program.take().expect("prepared");
-    let entry = engine0.entry_phase;
-    execute(&program, entry, lanes, window, false);
-    let next = ((u64::from(entry) + window) % u64::from(program.period)) as u32;
-    engine0.next_phase = next;
-    engine0.program = Some(program);
-    lanes[0].fused = Some(engine0);
-    for m in lanes[1..].iter_mut() {
-        m.fused.as_mut().expect("prepared").next_phase = next;
+    for (m, cache) in lanes.iter_mut().zip(caches) {
+        m.programs = Some(cache);
     }
-    window
+    if entered {
+        window
+    } else {
+        0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::params::MachineParams;
+    use systolic_ring_isa::dnode::MicroInstr;
+
+    #[test]
+    fn content_key_ignores_counters_and_dead_slots() {
+        let m = RingMachine::new(RingGeometry::RING_8, MachineParams::PAPER);
+        let mut dnodes = m.dnodes.clone();
+        let base = content_key(&m.config, &dnodes, m.geometry);
+        // Counters are excluded: advancing one changes nothing.
+        dnodes[0].sequencer_mut().set_limit(4);
+        let with_local_global_mode = content_key(&m.config, &dnodes, m.geometry);
+        assert_eq!(
+            base, with_local_global_mode,
+            "sequencer state of a global-mode Dnode is dead content"
+        );
+        dnodes[0].set_mode(DnodeMode::Local);
+        let local = content_key(&m.config, &dnodes, m.geometry);
+        assert_ne!(base, local, "mode flips must change the key");
+        // A slot at or above the limit is unreachable: still equal.
+        let nop = MicroInstr::NOP;
+        dnodes[0]
+            .sequencer_mut()
+            .set_slot(7, nop.with_imm(Word16::from_i16(3)));
+        assert_eq!(local, content_key(&m.config, &dnodes, m.geometry));
+        // A live slot is not.
+        dnodes[0]
+            .sequencer_mut()
+            .set_slot(0, nop.with_imm(Word16::from_i16(3)));
+        assert_ne!(local, content_key(&m.config, &dnodes, m.geometry));
+    }
 }

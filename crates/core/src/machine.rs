@@ -86,16 +86,11 @@ pub struct RingMachine {
     /// so the fault-free machine pays one pointer of state; `None` means
     /// the stepper takes the exact pre-fault code path.
     pub(crate) fault: Option<Box<FaultInjector>>,
-    /// The fused steady-state engine (consulted only when `params.fused`
-    /// and `params.decode_cache` are both set). Boxed and lazily
-    /// allocated: machines that never reach a steady state pay one pointer
-    /// of state.
-    pub(crate) fused: Option<Box<crate::fused::FusedEngine>>,
-    /// The AOT multi-phase superblock cache (consulted only when
-    /// `params.aot`, `params.fused` and `params.decode_cache` are all
-    /// set). Boxed and lazily allocated like `fused`; filled at run time,
-    /// one compile per guard miss.
-    pub(crate) aot: Option<Box<crate::aot::AotEngine>>,
+    /// The compiled tier's content-keyed program cache (consulted only
+    /// when `params.fused` and `params.decode_cache` are both set). Boxed
+    /// and lazily allocated: machines that never burst pay one pointer of
+    /// state. Filled at run time, one compile per guard miss.
+    pub(crate) programs: Option<Box<crate::fused::ProgramCache>>,
     /// Watchdog progress snapshot: (ctrl instructions retired, config
     /// writes, context switches, host words in, host words out).
     wd_progress: (u64, u64, u64, u64, u64),
@@ -105,13 +100,6 @@ pub struct RingMachine {
     /// Content hash of the last loaded [`Object`]'s bytes; the credential
     /// [`RingMachine::attach_proof`] validates a manifest against.
     loaded_object_hash: Option<u64>,
-    /// Cycle from which an attached, hash-validated proof manifest
-    /// declares the fabric configuration permanently stable. While set
-    /// and reached, the fused tier waives its stability-detection window
-    /// (see `Stats::guards_elided`). Cleared by anything that could
-    /// invalidate the static proof: a new [`RingMachine::load`],
-    /// programmatic configuration access, or a Dnode remap.
-    pub(crate) proof_stable_from: Option<u64>,
 }
 
 /// A machine snapshot taken by [`RingMachine::checkpoint`].
@@ -252,7 +240,7 @@ fn write_local_limit(
         });
     }
     state.sequencer_mut().set_limit(limit as u8);
-    // `set_limit` resets the counter, which the fused engine's phase
+    // `set_limit` resets the counter, which the compiled tier's phase
     // anchoring depends on.
     plan.note_seq_write(dnode);
     Ok(())
@@ -292,12 +280,10 @@ impl RingMachine {
                 .faults
                 .is_active()
                 .then(|| Box::new(FaultInjector::new(params.faults, geometry.dnodes()))),
-            fused: None,
-            aot: None,
+            programs: None,
             wd_progress: (0, 0, 0, 0, 0),
             wd_since: 0,
             loaded_object_hash: None,
-            proof_stable_from: None,
         }
     }
 
@@ -332,12 +318,7 @@ impl RingMachine {
     }
 
     /// The configuration layer, for programmatic setup.
-    ///
-    /// Handing out mutable configuration access invalidates any attached
-    /// proof manifest: the static proofs describe the loaded object, not
-    /// whatever the caller is about to write.
     pub fn configure(&mut self) -> &mut ConfigLayer {
-        self.invalidate_proof();
         &mut self.config
     }
 
@@ -361,11 +342,7 @@ impl RingMachine {
     }
 
     /// Mutable access to the controller (program loading, test setup).
-    ///
-    /// Invalidates any attached proof manifest — the static schedule walk
-    /// covered the loaded program, not a hand-edited one.
     pub fn controller_mut(&mut self) -> &mut Controller {
-        self.invalidate_proof();
         &mut self.controller
     }
 
@@ -394,7 +371,6 @@ impl RingMachine {
     ///
     /// Panics if `dnode` is out of range.
     pub fn set_mode(&mut self, dnode: usize, mode: DnodeMode) {
-        self.invalidate_proof();
         if self.dnodes[dnode].mode() != mode {
             self.plan.note_mode_write();
         }
@@ -422,7 +398,6 @@ impl RingMachine {
                 limit: program.len(),
             });
         }
-        self.invalidate_proof();
         let seq = self.dnodes[dnode].sequencer_mut();
         for (slot, instr) in program.iter().enumerate() {
             seq.set_slot(slot, *instr);
@@ -510,48 +485,26 @@ impl RingMachine {
         for record in &object.preload {
             self.apply_preload(record)?;
         }
-        // Any previously attached proof described the previous object;
-        // remember the new object's hash so `attach_proof` can bind a
-        // fresh manifest to exactly these bytes.
-        self.invalidate_proof();
+        // Remember the object's hash so `attach_proof` can check that a
+        // manifest was proven over exactly these bytes.
         self.loaded_object_hash = Some(object_hash(object));
         Ok(())
     }
 
-    /// Attaches a statically verified [`ProofManifest`] (produced by
-    /// `ringlint`'s verify passes) to the machine, enabling runtime guard
-    /// elision. Returns `true` iff the manifest was accepted.
+    /// Checks a statically verified [`ProofManifest`] (produced by
+    /// `ringlint`'s verify passes) against the machine. Returns `true`
+    /// iff the manifest's `object_hash` matches the object most recently
+    /// [`load`](RingMachine::load)ed (a manifest for different bytes is a
+    /// stale or foreign proof) and the walk proved both termination
+    /// (`halts`) and hazard freedom.
     ///
-    /// Acceptance is deliberately strict — all of:
-    ///
-    /// * the manifest's `object_hash` matches the object most recently
-    ///   [`load`](RingMachine::load)ed (a manifest for different bytes is
-    ///   a stale or foreign proof and is rejected outright),
-    /// * the walk proved termination (`halts`) and hazard freedom, and
-    /// * it established a configuration-stability cycle.
-    ///
-    /// Once attached and past `config_stable_from`, the fused tier skips
-    /// its `DETECTION_WINDOW` stability heuristic; each skipped window
-    /// counts one `Stats::guards_elided`. Elision never changes
-    /// architectural state — the differential suites compare tiers with
-    /// and without proofs attached — it only removes warm-up the proof
-    /// made redundant. Any subsequent load, programmatic configuration
-    /// access or Dnode remap detaches the proof.
+    /// The machine keeps nothing from the manifest and no execution tier
+    /// reads it: the compiled tier enters a window by configuration
+    /// content, with no stability warm-up for a proof to waive. Proofs
+    /// are consumed statically, by `srconform`'s cycle bounds and the
+    /// literate `;!` budgets.
     pub fn attach_proof(&mut self, proof: &ProofManifest) -> bool {
-        self.invalidate_proof();
-        let accepted = self.loaded_object_hash == Some(proof.object_hash)
-            && proof.halts
-            && proof.hazard_free
-            && proof.config_stable_from.is_some();
-        if accepted {
-            self.proof_stable_from = proof.config_stable_from;
-        }
-        accepted
-    }
-
-    /// Detaches any attached proof manifest.
-    fn invalidate_proof(&mut self) {
-        self.proof_stable_from = None;
+        self.loaded_object_hash == Some(proof.object_hash) && proof.halts && proof.hazard_free
     }
 
     fn apply_preload(&mut self, record: &Preload) -> Result<(), ConfigError> {
@@ -793,10 +746,9 @@ impl RingMachine {
             return Err(SimError::Watchdog {
                 cycle: self.cycle,
                 // The *architectural* context: if a context switch is
-                // staged but uncommitted at this boundary (a deopt landing
-                // the same cycle as the trip), the report names the
-                // post-switch context the machine has architecturally
-                // decided on, not the stale pre-deopt one.
+                // staged but uncommitted at this boundary, the report names
+                // the post-switch context the machine has architecturally
+                // decided on, not the stale active one.
                 ctx: self.config.architectural_ctx(),
                 pc: self.controller.pc(),
                 idle_cycles,
@@ -933,10 +885,6 @@ impl RingMachine {
     /// [`ConfigError::RemapLayerMismatch`] for a cross-layer pair.
     pub fn remap_dnode(&mut self, from: usize, to: usize) -> Result<(), ConfigError> {
         self.config.remap_dnodes(from, to)?;
-        // The static proofs were walked against the original Dnode
-        // placement; a remap (even an identity one, for simplicity) ends
-        // their authority.
-        self.invalidate_proof();
         if from == to {
             return Ok(());
         }
@@ -1360,12 +1308,12 @@ impl RingMachine {
 
     /// Runs `cycles` clock cycles.
     ///
-    /// This is the entry point for fused steady-state bursts (see
-    /// [`MachineParams::fused`]): when the machine is quiescent and the
-    /// configuration has been stable long enough, a whole window of cycles
-    /// executes as one compiled burst; otherwise (and always for the
-    /// warmup prefix) the machine advances one [`RingMachine::step`] at a
-    /// time. Either way, exactly `cycles` cycles are executed.
+    /// This is the entry point for compiled bursts (see
+    /// [`MachineParams::fused`]): whenever the machine is quiescent, a
+    /// whole window of cycles executes as one burst of the compiled
+    /// program for its configuration; otherwise the machine advances one
+    /// [`RingMachine::step`] at a time. Either way, exactly `cycles`
+    /// cycles are executed.
     ///
     /// # Errors
     ///
@@ -1373,12 +1321,7 @@ impl RingMachine {
     pub fn run(&mut self, cycles: u64) -> Result<(), SimError> {
         let mut remaining = cycles;
         while remaining > 0 {
-            // Tier dispatch: AOT superblocks first (content-keyed cache,
-            // no detection warmup), then the fused engine, then stepping.
-            let burst = match self.try_aot(remaining) {
-                0 => self.try_fused(remaining),
-                b => b,
-            };
+            let burst = self.try_burst(remaining);
             if burst == 0 {
                 self.step()?;
                 remaining -= 1;
@@ -1448,11 +1391,7 @@ impl RingMachine {
             // — whose cycles all count against the budget exactly as
             // stepping them would.
             let budget = max_cycles - (self.cycle - start);
-            let burst = match self.try_aot(budget) {
-                0 => self.try_fused(budget),
-                b => b,
-            };
-            if burst == 0 {
+            if self.try_burst(budget) == 0 {
                 self.step()?;
             }
         }

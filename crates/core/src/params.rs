@@ -72,44 +72,39 @@ pub struct MachineParams {
     /// [`crate::Stats::decode_cache_misses`] counters — so differential
     /// tests oracle one against the other.
     pub decode_cache: bool,
-    /// Execute steady-state windows through the fused-epoch engine.
+    /// Execute quiescent windows through the compiled tier.
     ///
     /// When `true` (the default) *and* the predecoded cache is enabled,
     /// [`crate::RingMachine::run`] and
-    /// [`crate::RingMachine::run_until_halt`] watch for quiescent windows —
-    /// the controller halted or mid-`wait`, no fault injector armed, no
-    /// watchdog, a direct host link, and the configuration epochs stable
-    /// for a detection window — and execute them as *fused bursts*: the
-    /// whole ring is compiled once into a flat, phase-scheduled operation
-    /// list over a struct-of-arrays snapshot of machine state and replayed
-    /// with no per-cycle decode, dispatch or staging. Any reconfiguration
-    /// write, context switch, armed fault injector or watchdog arm
-    /// deoptimizes back to the decoded path, so the two are architecturally
-    /// indistinguishable — same outputs, traces and statistics except the
-    /// engine's own [`crate::Stats::fused_entries`] /
-    /// [`crate::Stats::fused_deopts`] / [`crate::Stats::fused_cycles`] /
-    /// [`crate::Stats::fused_lane_occupancy`] counters (and the decode
-    /// cache's hit counter, which fused cycles do not touch).
-    /// [`crate::RingMachine::step`] never fuses: single-cycle stepping (and
-    /// therefore per-cycle tracing) always takes the decoded path.
+    /// [`crate::RingMachine::run_until_halt`] execute every admitted
+    /// window — the controller halted or mid-`wait`, no fault injector
+    /// armed, no context select staged, at least 8 cycles, and under an
+    /// armed watchdog only provably quiet windows that end before the
+    /// earliest possible trip — as one *compiled burst*: the whole ring is
+    /// compiled into a flat, phase-scheduled operation list and replayed
+    /// over a struct-of-arrays snapshot of machine state with no per-cycle
+    /// decode, dispatch or staging. Programs are cached by configuration
+    /// content, so a window is compiled the first time its configuration
+    /// is seen (a guard miss) and re-entered whenever it returns; no
+    /// reconfiguration deoptimizes anything. The compiled tier is
+    /// architecturally indistinguishable from the decoded path — same
+    /// outputs, traces and statistics except the engine counters that
+    /// [`crate::Stats::without_cache_counters`] zeroes.
+    /// [`crate::RingMachine::step`] never bursts: single-cycle stepping
+    /// (and therefore per-cycle tracing) always takes the decoded path.
     pub fused: bool,
-    /// Execute through the multi-phase superblock cache (the `aot` tier).
+    /// Add running-controller schedule bursts to the compiled tier (the
+    /// `aot` tier).
     ///
-    /// When `true` *and* both [`MachineParams::decode_cache`] and
-    /// [`MachineParams::fused`] are enabled, [`crate::RingMachine::run`]
-    /// keeps a cache of fused programs keyed by the *exact configuration
-    /// content* rather than monotonic write epochs. Every quiescent window
-    /// (controller halted or mid-`wait`, or a running controller that
-    /// provably stays off the datapath) is admitted through a guard check
-    /// — configuration content, no armed injector, no staged context
-    /// switch, watchdog distance — with no stability-detection warmup, so
-    /// programs survive reconfiguration rounds instead of deoptimizing: a
-    /// loop that returns to a previously seen configuration re-enters its
-    /// compiled program immediately. A guard miss compiles the new phase
-    /// on the spot and enters it; that is also how each window is compiled
-    /// the first time, since nothing is compiled at load. Off by default
-    /// (`MachineParams::PAPER`) so the `fused` tier's measured behaviour is
-    /// unchanged; the `aot` tier enables it explicitly.
+    /// With [`MachineParams::fused`] and [`MachineParams::decode_cache`]
+    /// also set, a running controller that provably stays off the datapath
+    /// — every instruction retires without reading the bus or a host FIFO,
+    /// and its only effect is a context select — no longer forces the
+    /// decoded path: the admitted cycles run as per-context bursts through
+    /// the same program cache while the controller replays alongside.
+    /// Single-machine bursts then count under [`crate::Stats::aot_entries`]
+    /// / [`crate::Stats::aot_cycles`] instead of the `fused_*` counters.
+    /// Off by default (`MachineParams::PAPER`).
     pub aot: bool,
     /// Fault-injection and fault-detection configuration.
     ///
@@ -206,9 +201,9 @@ impl MachineParams {
         self
     }
 
-    /// Builder: enable or disable the fused steady-state execution engine.
+    /// Builder: enable or disable the compiled tier.
     ///
-    /// Fusion additionally requires the predecoded cache
+    /// Compiled bursts additionally require the predecoded cache
     /// ([`MachineParams::decode_cache`]); with the cache off this flag has
     /// no effect, which keeps `with_decode_cache(false)` an honest
     /// decode-per-cycle reference path.
@@ -217,10 +212,10 @@ impl MachineParams {
         self
     }
 
-    /// Builder: enable or disable the ahead-of-time superblock cache.
+    /// Builder: enable or disable schedule bursts (the `aot` tier).
     ///
-    /// The AOT tier additionally requires the predecoded cache and the
-    /// fused engine ([`MachineParams::decode_cache`],
+    /// Schedule bursts additionally require the predecoded cache and the
+    /// compiled tier ([`MachineParams::decode_cache`],
     /// [`MachineParams::fused`]); with either off this flag has no effect.
     pub fn with_aot(mut self, aot: bool) -> Self {
         self.aot = aot;
@@ -326,7 +321,7 @@ pub fn with_decode_cache<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
 /// Runs `f` with [`MachineParams::fused`] forced to `enabled` for every
 /// [`crate::RingMachine`] *created* on this thread inside the call.
 ///
-/// The fused-engine analogue of [`with_decode_cache`]: kernel drivers
+/// The compiled-tier analogue of [`with_decode_cache`]: kernel drivers
 /// construct their machines internally with fixed parameters, so the
 /// three-way differential oracle (slow / decoded / fused) wraps whole
 /// driver calls in `with_fused` scopes instead of widening every driver

@@ -357,8 +357,8 @@ impl DecodedPlan {
     }
 
     /// The machine-level invalidation clocks `(modes, sequencer)` — part of
-    /// the configuration-epoch fingerprint the fused engine stamps its
-    /// compiled programs with.
+    /// the configuration-epoch fingerprint the program cache memoizes
+    /// resolutions under.
     pub(crate) fn clocks(&self) -> (u64, u64) {
         (self.modes_clock, self.seq_clock)
     }

@@ -55,18 +55,23 @@ pub struct Stats {
     /// plan, work-list or local-loop unroll decoded (always 0 when the
     /// cache is disabled).
     pub decode_cache_misses: u64,
-    /// Fused bursts entered: each counts one transition from the decoded
-    /// path into replay of a compiled steady-state program (always 0 when
+    /// Programs compiled into the program cache: one per guard miss, plus
+    /// one per in-place re-anchor when the sequencer counters leave a
+    /// compiled orbit. Nothing is compiled at load.
+    pub compiles: u64,
+    /// Burst entries whose configuration content matched no cached
+    /// program. Each compiles the new window and enters it at once.
+    pub guard_misses: u64,
+    /// Compiled bursts entered outside the `aot` tier: single-machine
+    /// bursts with [`crate::MachineParams::aot`] off, and every
+    /// [`crate::lockstep_burst`] (always 0 when
     /// [`crate::MachineParams::fused`] is off).
     pub fused_entries: u64,
-    /// Compiled fused programs invalidated by a reconfiguration write,
-    /// context switch, armed fault injector, watchdog arm or link change —
-    /// each is a forced return to the decoded path. A high ratio of deopts
-    /// to entries is a deopt storm: the workload reconfigures too often for
-    /// fusion to pay off.
+    /// Always 0: no tier deoptimizes, because a changed configuration is a
+    /// guard miss that compiles. Kept for readers that still report it.
     pub fused_deopts: u64,
-    /// Cycles executed inside fused bursts (subset of `cycles`; fused
-    /// cycles do not count `decode_cache_hits`).
+    /// Cycles executed inside bursts counted by `fused_entries` (subset of
+    /// `cycles`; burst cycles do not count `decode_cache_hits`).
     pub fused_cycles: u64,
     /// Lane-cycles executed inside fused bursts: each burst adds
     /// `lanes x cycles`, so single-lane fusion adds exactly `fused_cycles`
@@ -74,30 +79,13 @@ pub struct Stats {
     /// occupancy of the fused engine is `fused_lane_occupancy /
     /// fused_cycles`.
     pub fused_lane_occupancy: u64,
-    /// AOT superblock bursts entered: each counts one guard-checked entry
-    /// into a content-keyed compiled program (always 0 when
-    /// [`crate::MachineParams::aot`] is off).
+    /// Single-machine compiled bursts entered on the `aot` tier, schedule
+    /// bursts included (always 0 when [`crate::MachineParams::aot`] is
+    /// off).
     pub aot_entries: u64,
-    /// Cycles executed inside AOT bursts (subset of `cycles`, disjoint
-    /// from `fused_cycles`: a cycle is accounted to whichever engine ran
-    /// it).
+    /// Cycles executed inside bursts counted by `aot_entries` (subset of
+    /// `cycles`, disjoint from `fused_cycles`).
     pub aot_cycles: u64,
-    /// Programs compiled into the AOT phase cache: one per guard miss, plus
-    /// one per in-place re-anchor when the sequencer counters leave a
-    /// compiled orbit. Nothing is compiled at load.
-    pub aot_compiles: u64,
-    /// Guard checks whose content fingerprint matched no cached program —
-    /// the AOT tier's deopt analogue, except the stitch compiles the new
-    /// phase instead of abandoning compiled execution.
-    pub aot_guard_misses: u64,
-    /// Runtime phase guards skipped because a static proof manifest
-    /// (see `RingMachine::attach_proof`) covered the check: fused-tier
-    /// stability-detection windows waived once the linter proved the
-    /// configuration stable. Only the fused tier elides guards; the AOT
-    /// tier always checks configuration content.
-    /// Zeroed by [`Stats::without_cache_counters`] — eliding a guard must
-    /// never change architectural state.
-    pub guards_elided: u64,
     /// Faults injected by the fault injector (all classes).
     pub faults_injected: u64,
     /// Detection sweeps executed (configuration parity plus pending
@@ -183,15 +171,14 @@ impl Stats {
             bus_conflicts,
             decode_cache_hits,
             decode_cache_misses,
+            compiles,
+            guard_misses,
             fused_entries,
             fused_deopts,
             fused_cycles,
             fused_lane_occupancy,
             aot_entries,
             aot_cycles,
-            aot_compiles,
-            aot_guard_misses,
-            guards_elided,
             faults_injected,
             parity_scrubs,
             config_faults_detected,
@@ -228,15 +215,14 @@ impl Stats {
         self.bus_conflicts += bus_conflicts;
         self.decode_cache_hits += decode_cache_hits;
         self.decode_cache_misses += decode_cache_misses;
+        self.compiles += compiles;
+        self.guard_misses += guard_misses;
         self.fused_entries += fused_entries;
         self.fused_deopts += fused_deopts;
         self.fused_cycles += fused_cycles;
         self.fused_lane_occupancy += fused_lane_occupancy;
         self.aot_entries += aot_entries;
         self.aot_cycles += aot_cycles;
-        self.aot_compiles += aot_compiles;
-        self.aot_guard_misses += aot_guard_misses;
-        self.guards_elided += guards_elided;
         self.faults_injected += faults_injected;
         self.parity_scrubs += parity_scrubs;
         self.config_faults_detected += config_faults_detected;
@@ -246,28 +232,65 @@ impl Stats {
         self.restores += restores;
     }
 
-    /// A copy with the decode-cache, fused-engine and AOT-engine counters
-    /// zeroed.
+    /// A copy with the engine counters (decode cache, compiles, guard
+    /// misses, burst entries and cycles) zeroed.
     ///
     /// Those counters are the one intentional difference between the slow,
-    /// decoded, fused and aot execution paths; differential oracles compare
+    /// decoded and compiled execution paths; differential oracles compare
     /// `a.without_cache_counters() == b.without_cache_counters()` to demand
     /// equality of every architectural counter.
+    ///
+    /// The copy is destructured without `..`, so a counter added to
+    /// [`Stats`] does not compile until it is classed here: bound by name
+    /// (an engine counter, zeroed) or `_` (architectural, kept).
     pub fn without_cache_counters(&self) -> Stats {
-        Stats {
-            decode_cache_hits: 0,
-            decode_cache_misses: 0,
-            fused_entries: 0,
-            fused_deopts: 0,
-            fused_cycles: 0,
-            fused_lane_occupancy: 0,
-            aot_entries: 0,
-            aot_cycles: 0,
-            aot_compiles: 0,
-            aot_guard_misses: 0,
-            guards_elided: 0,
-            ..self.clone()
+        let mut copy = self.clone();
+        let Stats {
+            cycles: _,
+            dnodes: _,
+            ctrl_instrs: _,
+            ctrl_stall_cycles: _,
+            config_writes: _,
+            ctx_switches: _,
+            host_words_in: _,
+            host_words_out: _,
+            link_stall_cycles: _,
+            fifo_underflows: _,
+            fifo_overflows: _,
+            bus_conflicts: _,
+            decode_cache_hits,
+            decode_cache_misses,
+            compiles,
+            guard_misses,
+            fused_entries,
+            fused_deopts,
+            fused_cycles,
+            fused_lane_occupancy,
+            aot_entries,
+            aot_cycles,
+            faults_injected: _,
+            parity_scrubs: _,
+            config_faults_detected: _,
+            datapath_faults_detected: _,
+            watchdog_trips: _,
+            checkpoints: _,
+            restores: _,
+        } = &mut copy;
+        for engine in [
+            decode_cache_hits,
+            decode_cache_misses,
+            compiles,
+            guard_misses,
+            fused_entries,
+            fused_deopts,
+            fused_cycles,
+            fused_lane_occupancy,
+            aot_entries,
+            aot_cycles,
+        ] {
+            *engine = 0;
         }
+        copy
     }
 }
 
@@ -310,22 +333,21 @@ mod tests {
             bus_conflicts: 11 * k,
             decode_cache_hits: 12 * k,
             decode_cache_misses: 13 * k,
-            fused_entries: 14 * k,
-            fused_deopts: 15 * k,
-            fused_cycles: 16 * k,
-            fused_lane_occupancy: 17 * k,
-            aot_entries: 18 * k,
-            aot_cycles: 19 * k,
-            aot_compiles: 20 * k,
-            aot_guard_misses: 21 * k,
-            guards_elided: 22 * k,
-            faults_injected: 23 * k,
-            parity_scrubs: 24 * k,
-            config_faults_detected: 25 * k,
-            datapath_faults_detected: 26 * k,
-            watchdog_trips: 27 * k,
-            checkpoints: 28 * k,
-            restores: 29 * k,
+            compiles: 14 * k,
+            guard_misses: 15 * k,
+            fused_entries: 16 * k,
+            fused_deopts: 17 * k,
+            fused_cycles: 18 * k,
+            fused_lane_occupancy: 19 * k,
+            aot_entries: 20 * k,
+            aot_cycles: 21 * k,
+            faults_injected: 22 * k,
+            parity_scrubs: 23 * k,
+            config_faults_detected: 24 * k,
+            datapath_faults_detected: 25 * k,
+            watchdog_trips: 26 * k,
+            checkpoints: 27 * k,
+            restores: 28 * k,
         }
     }
 
@@ -337,6 +359,25 @@ mod tests {
         assert_eq!(merged, once, "merging into empty stats reproduces them");
         merged.merge(&once);
         assert_eq!(merged, every_counter_set(2), "merging twice doubles");
+    }
+
+    #[test]
+    fn without_cache_counters_zeroes_exactly_the_engine_counters() {
+        let all = every_counter_set(1);
+        let engine_zeroed = Stats {
+            decode_cache_hits: 0,
+            decode_cache_misses: 0,
+            compiles: 0,
+            guard_misses: 0,
+            fused_entries: 0,
+            fused_deopts: 0,
+            fused_cycles: 0,
+            fused_lane_occupancy: 0,
+            aot_entries: 0,
+            aot_cycles: 0,
+            ..all.clone()
+        };
+        assert_eq!(all.without_cache_counters(), engine_zeroed);
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Differential validation of the ahead-of-time superblock tier.
+//! Differential validation of the `aot` tier (the compiled tier plus
+//! running-controller schedule bursts).
 //!
-//! Every test here runs the same scenario on four machines — the AOT
-//! tier (`aot` + `fused` + `decode_cache`), the fused engine, the
-//! decoded per-cycle fast path and the slow decode-per-cycle reference —
+//! Every test here runs the same scenario on four machines — the `aot`
+//! tier (`aot` + `fused` + `decode_cache`), the default compiled tier,
+//! the decoded per-cycle fast path and the slow decode-per-cycle
+//! reference —
 //! and demands **bit-identical** architectural behaviour: equal Dnode
 //! registers, outputs and write stamps, equal bus values, sequencer
 //! counters, controller state, sink streams and statistics modulo the
@@ -16,7 +18,7 @@
 //! guard miss, answered by stitching a fresh compile) and same-word
 //! rewrites (epoch moves, content does not: the content key must
 //! revalidate the cached program instead of recompiling) — and an armed
-//! fault injector must suppress AOT entry entirely.
+//! fault injector must suppress compiled entry entirely.
 
 use systolic_ring_core::fault::FaultConfig;
 use systolic_ring_core::{MachineParams, RingMachine, SimError};
@@ -329,9 +331,8 @@ fn assert_same_state(a: &RingMachine, b: &RingMachine, what: &str) {
 
 /// Random multi-phase fabrics under random mid-run controller
 /// reconfiguration stay bit-identical across all four tiers, segment
-/// boundary by segment boundary, while the AOT tier actually engages
-/// somewhere in the sweep — and, unlike the fused tier, never pays a
-/// deoptimization for a reconfiguration it has already seen.
+/// boundary by segment boundary, while the `aot` tier actually engages
+/// somewhere in the sweep and keeps its compiled programs in the cache.
 #[test]
 fn random_reconfiguration_four_way_differential() {
     let mut aot_entries = 0u64;
@@ -367,14 +368,13 @@ fn random_reconfiguration_four_way_differential() {
             slow.stats().without_cache_counters(),
             "architectural statistics diverged"
         );
-        // The lower tiers never touch the AOT cache; the AOT tier never
-        // books its bursts against the fused engine's counters.
+        // Only the aot tier books single-machine bursts under `aot_*`.
         for m in [&fused, &decoded, &slow] {
             assert_eq!(m.stats().aot_entries, 0);
             assert_eq!(m.stats().aot_cycles, 0);
         }
         aot_entries += aot.stats().aot_entries;
-        aot_cached += aot.aot_cached_programs() as u64;
+        aot_cached += aot.cached_programs() as u64;
     });
     assert!(aot_entries > 0, "the AOT tier never engaged");
     assert!(
@@ -442,8 +442,8 @@ fn randomized_guard_failures_fall_back_bit_identically() {
             decoded.stats().without_cache_counters(),
             "architectural statistics diverged"
         );
-        guard_misses += aot.stats().aot_guard_misses;
-        stitched_compiles += aot.stats().aot_compiles;
+        guard_misses += aot.stats().guard_misses;
+        stitched_compiles += aot.stats().compiles;
     });
     assert!(guard_misses > 0, "no content flip ever missed a guard");
     assert!(stitched_compiles > 0, "no guard miss was stitched in place");

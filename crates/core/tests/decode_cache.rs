@@ -453,13 +453,15 @@ fn api_reconfiguration_between_segments_matches() {
 
 /// Steady-state execution hits the cache; configuration writes are the
 /// only events that charge misses; the disabled path charges neither.
+/// The compiled tier would run these quiet windows as bursts, which count
+/// no hits, so the cached machine runs on the decoded tier.
 #[test]
 fn cache_counters_track_invalidation() {
     let passthrough = MicroInstr::op(AluOp::Add, Operand::Reg(Reg::R0), Operand::One)
         .write_reg(Reg::R0)
         .write_out();
 
-    let mut m = RingMachine::new(RingGeometry::RING_8, MachineParams::PAPER);
+    let mut m = RingMachine::new(RingGeometry::RING_8, MachineParams::PAPER.with_fused(false));
     m.configure()
         .set_dnode_instr(0, 0, passthrough)
         .expect("instr");

@@ -430,9 +430,9 @@ fn one_burst_covers_backpressure_dry_streams_and_metering() {
                 .with_fused(false)
                 .with_decode_cache(false),
         );
-        // Warm-up: the detection window runs on the decoded path.
-        fused.run(40).expect("warm-up");
-        slow.run(40).expect("warm-up");
+        // A first stretch (one burst of its own), then the burst under test.
+        fused.run(40).expect("first stretch");
+        slow.run(40).expect("first stretch");
         let before = fused.stats().clone();
         let pending_before = fused.pending_input(0, 0).expect("port");
         fused.run(200).expect("burst");
@@ -586,7 +586,7 @@ fn lockstep_lanes_with_different_stream_lengths_match_solo_runs() {
             };
             if burst == 0 {
                 for m in &mut grouped {
-                    m.run(1).expect("warm-up cycle");
+                    m.run(1).expect("single cycle");
                 }
             }
         }

@@ -145,8 +145,8 @@ impl RunningJob {
     /// [`RunningJob::start`] without the builder-error and retry-policy
     /// rejections: the single-shot executor checks the former itself and
     /// applies the retry policy between slices. Builds, configures and
-    /// wires the machine (object load and proof, or the setup closure;
-    /// sinks; input streams).
+    /// wires the machine (object load or the setup closure; sinks; input
+    /// streams).
     pub(crate) fn launch(job: &Job) -> Result<RunningJob, JobFault> {
         let JobWork::Machine(mj) = &job.work else {
             return Err(JobFault::Config(
@@ -163,11 +163,6 @@ impl RunningJob {
                 machine
                     .load(object)
                     .map_err(|e| JobFault::Config(e.to_string()))?;
-                if let Some(proof) = &mj.proof {
-                    // Hash-validated: a stale or foreign manifest is refused
-                    // and the machine simply keeps its runtime guards.
-                    machine.attach_proof(proof);
-                }
             }
             JobSetup::Configure(setup) => {
                 setup(&mut machine).map_err(|e| JobFault::Config(e.to_string()))?

@@ -457,9 +457,9 @@ impl BatchSummary {
         if self.merged.fused_cycles > 0 {
             let _ = writeln!(
                 out,
-                "  fused: {} bursts   {} deopts   {} cycles   {:.2} mean lanes",
+                "  fused: {} bursts   {} compiles   {} cycles   {:.2} mean lanes",
                 self.merged.fused_entries,
-                self.merged.fused_deopts,
+                self.merged.compiles,
                 self.merged.fused_cycles,
                 self.merged.fused_lane_occupancy as f64 / self.merged.fused_cycles as f64
             );
@@ -618,8 +618,8 @@ mod tests {
             RingGeometry::RING_8,
             MachineParams::PAPER,
             increment_object(),
-            // Several SLICE_CYCLES worth: the first slice warms up through
-            // the single-lane path (detection window), later slices hit
+            // Several SLICE_CYCLES worth: the first slice starts with a
+            // running controller and goes lane by lane, later slices hit
             // the shared lockstep burst.
             CycleBudget::Cycles(4 * SLICE_CYCLES),
         )

@@ -18,17 +18,15 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Tier {
     /// Interpret raw configuration words every cycle (decode cache and
-    /// fused engine both disabled).
+    /// compiled tier both disabled).
     Slow,
     /// Use the decoded-configuration cache, but never enter fused bursts.
     Decoded,
-    /// Full paper-faithful fast path: decode cache plus the fused
-    /// steady-state engine.
+    /// Full paper-faithful fast path: decode cache plus the compiled
+    /// tier's content-keyed program cache.
     Fused,
-    /// Everything in `Fused` plus the ahead-of-time multi-phase superblock
-    /// cache: steady windows are precompiled at object-load time and
-    /// re-entered by configuration content, with no per-reconfiguration
-    /// deoptimization.
+    /// Everything in `Fused` plus schedule bursts, which also compile the
+    /// cycles of a running controller that stays off the datapath.
     Aot,
 }
 

@@ -15,8 +15,8 @@
 //!   assembler,
 //! * [`expect`] — embedded conformance expectations (`;!` directives)
 //!   carried alongside assembled objects,
-//! * [`proof`] — static proof manifests a verifier binds to object bytes
-//!   so the core can elide runtime guards.
+//! * [`proof`] — static proof manifests a verifier binds to object
+//!   bytes.
 //!
 //! The cycle-accurate simulator (`systolic-ring-core`) and the two-level
 //! assembler (`systolic-ring-asm`) both build on these definitions, so a

@@ -2,15 +2,15 @@
 //! verifier established *without simulating it*.
 //!
 //! The `ringverify` passes in `systolic-ring-lint` produce a
-//! [`ProofManifest`] per object; the core consumes it to **elide runtime
-//! guards** on statically-proven-stable phases (the fused engine's
-//! stability window, the AOT tier's content-key re-hash). The manifest
-//! lives in this crate — not in the linter — because both producer and
-//! consumer must agree on its meaning without depending on each other.
+//! [`ProofManifest`] per object; the conformance runner checks its cycle
+//! bound against real halts, and the core validates it against the
+//! loaded object (`RingMachine::attach_proof`). The manifest lives in
+//! this crate — not in the linter — because producer and consumers must
+//! agree on its meaning without depending on each other.
 //!
 //! A manifest is bound to the exact object bytes it was proven over via
 //! [`object_hash`]; the core refuses a manifest whose hash does not match
-//! the loaded object, so a stale proof can never weaken a guard.
+//! the loaded object, so a stale proof is never taken for a fresh one.
 
 use crate::object::Object;
 
@@ -79,8 +79,6 @@ pub struct ProofManifest {
     pub cycle_bound: Option<u64>,
     /// Cycle from which the fabric configuration (including the active
     /// context selection) provably never changes again, on any path.
-    /// Guards that re-validate configuration stability after this cycle
-    /// may be elided.
     pub config_stable_from: Option<u64>,
     /// No reconfiguration write can race in-flight pipeline data
     /// (`RL-Hxxx` found nothing on a complete walk).

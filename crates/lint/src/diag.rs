@@ -115,13 +115,13 @@ impl fmt::Display for Diagnostic {
 /// Static steady-state classification of an object program.
 ///
 /// The prediction is deliberately one-sided: `Fusible` is a *guarantee*
-/// (the dynamic fused engine must record `fused_entries > 0` once the
+/// (the core's compiled tier must record `fused_entries > 0` once the
 /// program is past `settle_cycles`), while `Unknown` claims nothing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Fusibility {
     /// The controller provably halts; from `settle_cycles` on, the fabric
     /// configuration can never change again, so a sufficiently long run
-    /// must enter the fused steady-state engine.
+    /// must enter the compiled tier.
     Fusible {
         /// Cycle by which the controller has provably halted (including
         /// any in-flight context-select commit).
@@ -158,9 +158,9 @@ pub struct LintReport {
     /// Steady-state classification of the controller program.
     pub fusibility: Fusibility,
     /// Proof manifest from the verify passes (`RL-Vxxx`/`RL-Hxxx`/
-    /// `RL-Txxx`), bound to the object's byte hash. Attach it to a
-    /// machine (`RingMachine::attach_proof`) to elide runtime phase
-    /// guards on statically-proven-stable phases.
+    /// `RL-Txxx`), bound to the object's byte hash. `srconform` checks
+    /// its cycle bound against real halts; `RingMachine::attach_proof`
+    /// validates that it is bound to the loaded object.
     pub proof: systolic_ring_isa::proof::ProofManifest,
 }
 

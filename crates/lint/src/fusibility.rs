@@ -5,15 +5,13 @@
 //! The claim is deliberately one-sided. If the tracer reaches `halt` with
 //! every branch decided by known register values, the controller provably
 //! retires its last instruction by a computable cycle; after that nothing
-//! can touch the configuration layer, so the dynamic fused engine's
-//! stability detector *must* eventually trip and record fused bursts
+//! can touch the configuration layer and the controller is halted, so the
+//! core's compiled tier *must* compile the halted window on a guard miss
+//! and record a burst, on the default and the `aot` tier alike
 //! ([`Fusibility::Fusible`]). The moment anything data-dependent leaks
 //! into control flow — a host pop, a bus read feeding a branch, an
 //! unresolvable indirect jump — the tracer gives up and claims nothing
 //! ([`Fusibility::Unknown`]). It never claims a program will *not* fuse.
-//! The same verdict covers the core's `aot` tier, which needs no
-//! detection window at all: past the settle point the controller is
-//! halted, so its first window is compiled on a guard miss and entered.
 
 use std::collections::HashMap;
 

@@ -18,16 +18,15 @@
 //!    contexts, dead controller code, and reachable controller
 //!    instructions that are statically certain to fault.
 //! 4. **Fusibility** (`RL-Fxxx`) — a conservative proof that the
-//!    configuration settles, cross-checkable against the dynamic fused
-//!    engine (see [`Fusibility`]).
+//!    configuration settles, cross-checkable against the core's compiled
+//!    tier (see [`Fusibility`]).
 //! 5. **Verify** (`RL-Vxxx`/`RL-Hxxx`/`RL-Txxx`) — abstract
 //!    interpretation over the object: interval value-range analysis of
 //!    the Q-format datapath, reconfiguration-hazard detection across
 //!    context switches, and a forking symbolic walk proving termination
 //!    and a static cycle bound. Proven facts land in a
 //!    [`ProofManifest`](systolic_ring_isa::proof::ProofManifest) (see
-//!    [`LintReport::proof`]) that the core consumes to elide runtime
-//!    phase guards.
+//!    [`LintReport::proof`]) bound to the object's bytes.
 //!
 //! The severity contract is the point of the tool: an object whose report
 //! [`is_clean`](LintReport::is_clean) is *guaranteed* to load and to never

@@ -23,8 +23,9 @@
 //!
 //! What survives all three passes is bound into a
 //! [`ProofManifest`](systolic_ring_isa::proof::ProofManifest) keyed to
-//! the exact object bytes; the core consumes it to elide runtime phase
-//! guards (see `Stats::guards_elided`).
+//! the exact object bytes. It is consumed statically — `srconform`
+//! checks its cycle bound against real halts — and no execution tier
+//! reads it at run time.
 
 mod hazard;
 mod range;

@@ -320,7 +320,7 @@ pub(crate) fn check(
     }
     for &(ctx, dnode, wrap) in &flagged {
         let site = Site::Dnode { ctx, dnode };
-        let op_desc = describe_ops(&sites, ctx, dnode, &flagged, wrap);
+        let op_desc = describe_ops(&sites, ctx, dnode);
         match wrap {
             Wrap::Certain => emit(
                 diags,
@@ -376,17 +376,11 @@ pub(crate) fn check(
 }
 
 /// Human tag for the flagged op(s) at one site.
-fn describe_ops(
-    sites: &[SiteInstr],
-    ctx: Option<usize>,
-    dnode: usize,
-    _flagged: &BTreeSet<(Option<usize>, usize, Wrap)>,
-    _wrap: Wrap,
-) -> String {
-    let ops: BTreeSet<String> = sites
+fn describe_ops(sites: &[SiteInstr], ctx: Option<usize>, dnode: usize) -> String {
+    let ops: BTreeSet<&str> = sites
         .iter()
         .filter(|s| s.ctx == ctx && s.dnode == dnode && wrap_capable_op(s.instr.alu))
-        .map(|s| format!("{:?}", s.instr.alu).to_lowercase())
+        .map(|s| s.instr.alu.mnemonic())
         .collect();
     if ops.is_empty() {
         "a wrapping operation".to_owned()

@@ -454,24 +454,24 @@ impl Service {
     /// slice (simulation runs outside the scheduler lock), finalize or
     /// park it, repeat. Returns when the service drains.
     pub fn run_worker(&self) {
+        let mut st = self.state.lock().expect("service lock");
         loop {
-            let mut unit = {
-                let mut st = self.state.lock().expect("service lock");
-                loop {
-                    if let Some(unit) = self.claim_unit(&mut st) {
-                        st.running_units += 1;
-                        break unit;
-                    }
-                    if self.is_draining() {
-                        return;
-                    }
-                    st = self.signal.wait(st).expect("service lock");
+            let mut unit = loop {
+                if let Some(unit) = self.claim_unit(&mut st) {
+                    st.running_units += 1;
+                    break unit;
                 }
+                if self.is_draining() {
+                    return;
+                }
+                st = self.signal.wait(st).expect("service lock");
             };
             loop {
+                unit = self.fault_expired(&mut st, unit);
                 let live_before = unit.group.live_mask();
+                drop(st);
                 let advanced = unit.group.advance(self.config.slice_cycles);
-                let mut st = self.state.lock().expect("service lock");
+                st = self.state.lock().expect("service lock");
                 match self.after_slice(&mut st, unit, &live_before, advanced) {
                     Some(live) => unit = live,
                     None => {
@@ -490,7 +490,7 @@ impl Service {
     /// `submit`/`tick` over jobs without one are exactly reproducible.
     pub fn tick(&self) -> bool {
         let mut st = self.state.lock().expect("service lock");
-        let mut unit = match st.current.take() {
+        let unit = match st.current.take() {
             Some(unit) => unit,
             None => match self.claim_unit(&mut st) {
                 Some(unit) => {
@@ -500,6 +500,7 @@ impl Service {
                 None => return false,
             },
         };
+        let mut unit = self.fault_expired(&mut st, unit);
         let live_before = unit.group.live_mask();
         let advanced = unit.group.advance(self.config.slice_cycles);
         st.current = self.after_slice(&mut st, unit, &live_before, advanced);
@@ -517,7 +518,7 @@ impl Service {
     fn after_slice(
         &self,
         st: &mut State,
-        mut unit: ActiveUnit,
+        unit: ActiveUnit,
         live_before: &[bool],
         advanced: u64,
     ) -> Option<ActiveUnit> {
@@ -540,9 +541,6 @@ impl Service {
                     .or_default()
                     .cycles_simulated += advanced;
             }
-        }
-        if unit.deadlines.iter().any(Option::is_some) {
-            unit = self.fault_expired(st, unit);
         }
         if unit.group.is_done() {
             self.finalize_unit(st, unit);
@@ -618,8 +616,13 @@ impl Service {
     }
 
     /// Faults any live lane whose wall-clock deadline has passed,
-    /// rebuilding the group from the survivors.
+    /// rebuilding the group from the survivors. Runs before every slice,
+    /// so a job whose deadline passed while it was queued or parked runs
+    /// no further cycle. Reads the clock only when a lane has a deadline.
     fn fault_expired(&self, st: &mut State, unit: ActiveUnit) -> ActiveUnit {
+        if unit.deadlines.iter().all(Option::is_none) {
+            return unit;
+        }
         let now = Instant::now();
         if !unit
             .deadlines
