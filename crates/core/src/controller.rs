@@ -7,10 +7,21 @@
 //! register `WCTX`.
 //!
 //! The controller never touches fabric state directly: each cycle it emits
-//! [`CtrlEffect`]s that the machine validates and commits at the end of the
-//! cycle, preserving the global two-phase clock discipline.
+//! at most one [`CtrlEffect`] that the machine validates and commits at the
+//! end of the cycle, preserving the global two-phase clock discipline.
+//!
+//! Memories are sized by use. The program is decoded once, at
+//! [`Controller::load_program`], into one entry per word; an undecodable
+//! word stays in the table as its decode error and faults only when it is
+//! fetched. Data memory starts empty and grows on store up to its
+//! capacity; every address below the capacity reads zero until written.
+//!
+//! The compiled tier (`crate::fused`) steps this same controller inside
+//! its bursts, but only across *burst-safe* instructions
+//! (`Controller::burst_safe`): those that cannot fault and touch neither
+//! the configuration nor a host FIFO.
 
-use systolic_ring_isa::ctrl::{CtrlInstr, DecodeCtrlError};
+use systolic_ring_isa::ctrl::{CReg, CtrlInstr, DecodeCtrlError};
 use systolic_ring_isa::Word16;
 
 use crate::error::ConfigError;
@@ -137,61 +148,141 @@ pub trait CtrlPorts {
 }
 
 /// Result of one controller cycle.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CtrlStep {
-    /// Effects to commit at end of cycle.
-    pub effects: Vec<CtrlEffect>,
+    /// The effect to commit at end of cycle: every instruction emits at
+    /// most one.
+    pub effect: Option<CtrlEffect>,
     /// `true` if an instruction retired (false on stall/halt cycles).
     pub retired: bool,
 }
 
+/// Per-pc reach of a program that cannot be bounded statically (a
+/// control transfer lies ahead).
+const UNBOUNDED: u32 = u32::MAX;
+
 /// The configuration controller core.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Equality compares architectural content: registers, pc, `CIR`, `WCTX`,
+/// state, the loaded program, both capacities and data-memory *contents*
+/// (a never-written word equals a stored zero, however far the memory has
+/// grown).
+#[derive(Clone, Debug)]
 pub struct Controller {
     regs: [u32; 16],
     pc: u32,
     cir: u16,
     wctx: u16,
-    pmem: Vec<u32>,
+    /// The loaded program, decoded once at load: one entry per word.
+    program: Vec<Result<CtrlInstr, DecodeCtrlError>>,
+    /// Per pc: how many cycles the controller provably runs from there
+    /// before it reaches an instruction that is never burst-safe or
+    /// retires `halt`, following straight-line code ([`UNBOUNDED`] when a
+    /// control transfer comes first). Derived from `program`.
+    reach: Vec<u32>,
+    prog_capacity: usize,
+    /// Data memory written so far; addresses past its end (and below
+    /// `dmem_capacity`) read zero.
     dmem: Vec<u32>,
-    prog_len: usize,
-    /// One past the highest data-memory address ever initialized or
-    /// stored to (bounds [`Controller::lookahead_clone`]).
-    dmem_hwm: usize,
+    dmem_capacity: usize,
     state: CtrlState,
 }
 
+impl PartialEq for Controller {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.dmem.len() <= other.dmem.len() {
+            (&self.dmem, &other.dmem)
+        } else {
+            (&other.dmem, &self.dmem)
+        };
+        self.regs == other.regs
+            && self.pc == other.pc
+            && self.cir == other.cir
+            && self.wctx == other.wctx
+            && self.program == other.program
+            && self.prog_capacity == other.prog_capacity
+            && self.dmem_capacity == other.dmem_capacity
+            && self.state == other.state
+            && long[..short.len()] == short[..]
+            && long[short.len()..].iter().all(|&w| w == 0)
+    }
+}
+
+impl Eq for Controller {}
+
+/// `true` for the instructions that are never burst-safe: configuration
+/// writes and host FIFO traffic.
+fn touches_fabric(instr: &CtrlInstr) -> bool {
+    use CtrlInstr::*;
+    matches!(
+        instr,
+        Wdn { .. }
+            | Wsw { .. }
+            | Who { .. }
+            | Wmode { .. }
+            | Wloc { .. }
+            | Wlim { .. }
+            | Hpush { .. }
+            | Hpop { .. }
+    )
+}
+
+/// Computes [`Controller::reach`] for a decoded program, backwards from
+/// its end (a fetch past the end faults, so it reaches nothing).
+fn program_reach(program: &[Result<CtrlInstr, DecodeCtrlError>]) -> Vec<u32> {
+    use CtrlInstr::*;
+    let mut reach = vec![0u32; program.len() + 1];
+    for pc in (0..program.len()).rev() {
+        let next = reach[pc + 1];
+        reach[pc] = match &program[pc] {
+            Err(_) => 0,
+            Ok(instr) if touches_fabric(instr) => 0,
+            Ok(Halt) => 1,
+            Ok(Beq { .. } | Bne { .. } | Blt { .. } | Bge { .. } | J { .. } | Jal { .. })
+            | Ok(Jr { .. }) => UNBOUNDED,
+            Ok(Wait { cycles }) => u32::from(*cycles).max(1).saturating_add(next),
+            Ok(_) => next.saturating_add(1),
+        };
+    }
+    reach.pop();
+    reach
+}
+
 impl Controller {
-    /// A reset controller with empty program memory.
+    /// A reset controller with an empty program and empty data memory,
+    /// able to hold `prog_capacity` program words and `dmem_capacity` data
+    /// words.
     pub fn new(prog_capacity: usize, dmem_capacity: usize) -> Self {
         Controller {
             regs: [0; 16],
             pc: 0,
             cir: 0,
             wctx: 0,
-            pmem: vec![0; prog_capacity],
-            dmem: vec![0; dmem_capacity],
-            prog_len: 0,
-            dmem_hwm: 0,
+            program: Vec::new(),
+            reach: Vec::new(),
+            prog_capacity,
+            dmem: Vec::new(),
+            dmem_capacity,
             state: CtrlState::Halted,
         }
     }
 
-    /// Loads a program at address 0 and resets pc/registers/state.
+    /// Loads a program at address 0, replacing any earlier one, decodes it
+    /// and resets pc/registers/state.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError::ProgramTooLarge`] if the program exceeds
     /// program memory.
     pub fn load_program(&mut self, code: &[u32]) -> Result<(), ConfigError> {
-        if code.len() > self.pmem.len() {
+        if code.len() > self.prog_capacity {
             return Err(ConfigError::ProgramTooLarge {
                 words: code.len(),
-                capacity: self.pmem.len(),
+                capacity: self.prog_capacity,
             });
         }
-        self.pmem[..code.len()].copy_from_slice(code);
-        self.prog_len = code.len();
+        self.program = code.iter().map(|&word| CtrlInstr::decode(word)).collect();
+        self.reach = program_reach(&self.program);
         self.reset();
         Ok(())
     }
@@ -203,14 +294,16 @@ impl Controller {
     /// Returns [`ConfigError::DataTooLarge`] if the data exceeds data
     /// memory.
     pub fn load_data(&mut self, data: &[u32]) -> Result<(), ConfigError> {
-        if data.len() > self.dmem.len() {
+        if data.len() > self.dmem_capacity {
             return Err(ConfigError::DataTooLarge {
                 words: data.len(),
-                capacity: self.dmem.len(),
+                capacity: self.dmem_capacity,
             });
         }
+        if self.dmem.len() < data.len() {
+            self.dmem.resize(data.len(), 0);
+        }
         self.dmem[..data.len()].copy_from_slice(data);
-        self.dmem_hwm = self.dmem_hwm.max(data.len());
         Ok(())
     }
 
@@ -221,10 +314,10 @@ impl Controller {
         self.pc = 0;
         self.cir = 0;
         self.wctx = 0;
-        self.state = if self.prog_len > 0 {
-            CtrlState::Running
-        } else {
+        self.state = if self.program.is_empty() {
             CtrlState::Halted
+        } else {
+            CtrlState::Running
         };
     }
 
@@ -256,25 +349,42 @@ impl Controller {
         };
     }
 
-    /// A bounded clone for the AOT schedule lookahead: program memory is
-    /// truncated to the loaded program (fetch never reads past it) and
-    /// data memory to the written high-water mark. Truncation can only
-    /// make the clone fault where the real controller would not — and
-    /// the lookahead treats any fault as the end of admission — so it
-    /// costs at most burst coverage, never soundness. What it buys is a
-    /// clone proportional to the *used* memory instead of the 64K-word
-    /// capacities, cheap enough to take on every lookahead attempt.
-    pub(crate) fn lookahead_clone(&self) -> Controller {
-        Controller {
-            regs: self.regs,
-            pc: self.pc,
-            cir: self.cir,
-            wctx: self.wctx,
-            pmem: self.pmem[..self.prog_len].to_vec(),
-            dmem: self.dmem[..self.dmem_hwm].to_vec(),
-            prog_len: self.prog_len,
-            dmem_hwm: self.dmem_hwm,
-            state: self.state,
+    /// `true` if the next cycle is burst-safe: the controller is halted or
+    /// waiting, or the instruction at pc cannot fault and touches neither
+    /// the configuration nor a host FIFO — its fetch is in range and
+    /// decodes, a `lw`/`sw` address is below the data-memory capacity, a
+    /// `ctx` index is below `contexts`, and it is none of `wdn`, `wsw`,
+    /// `who`, `wmode`, `wloc`, `wlim`, `hpush` or `hpop`.
+    pub(crate) fn burst_safe(&self, contexts: usize) -> bool {
+        use CtrlInstr::*;
+        if self.state != CtrlState::Running {
+            return true;
+        }
+        match self.program.get(self.pc as usize) {
+            Some(Ok(Lw { ra, imm, .. } | Sw { ra, imm, .. })) => {
+                (self.regs[ra.index()].wrapping_add(*imm as i32 as u32) as usize)
+                    < self.dmem_capacity
+            }
+            Some(Ok(Ctx { ctx })) => usize::from(*ctx) < contexts,
+            Some(Ok(instr)) => !touches_fabric(instr),
+            Some(Err(_)) | None => false,
+        }
+    }
+
+    /// Cycles after which a burst starting now provably ends: the pending
+    /// `wait` plus the straight-line distance from pc to the next
+    /// instruction that is never burst-safe or retires `halt`.
+    /// `u64::MAX` when halted or when a control transfer comes first.
+    pub(crate) fn burst_reach(&self) -> u64 {
+        let waiting = match self.state {
+            CtrlState::Halted => return u64::MAX,
+            CtrlState::Waiting(n) => u64::from(n),
+            CtrlState::Running => 0,
+        };
+        match self.reach.get(self.pc as usize) {
+            Some(&UNBOUNDED) => u64::MAX,
+            Some(&cycles) => waiting + u64::from(cycles),
+            None => waiting,
         }
     }
 
@@ -295,12 +405,13 @@ impl Controller {
         }
     }
 
-    /// Reads a data-memory word (testing/inspection).
+    /// Reads a data-memory word (testing/inspection): `None` at or above
+    /// the data-memory capacity, zero for a word never written.
     pub fn dmem(&self, addr: usize) -> Option<u32> {
-        self.dmem.get(addr).copied()
+        (addr < self.dmem_capacity).then(|| self.dmem.get(addr).copied().unwrap_or(0))
     }
 
-    fn write_reg(&mut self, rd: systolic_ring_isa::ctrl::CReg, value: u32) {
+    fn write_reg(&mut self, rd: CReg, value: u32) {
         if rd.index() != 0 {
             self.regs[rd.index()] = value;
         }
@@ -330,16 +441,14 @@ impl Controller {
         }
 
         let pc = self.pc;
-        let word = *self
-            .pmem
-            .get(pc as usize)
-            .filter(|_| (pc as usize) < self.prog_len)
-            .ok_or(CtrlFault::PcOutOfRange { pc })?;
-        let instr =
-            CtrlInstr::decode(word).map_err(|cause| CtrlFault::BadInstruction { pc, cause })?;
+        let instr = match self.program.get(pc as usize) {
+            Some(Ok(instr)) => *instr,
+            Some(Err(cause)) => return Err(CtrlFault::BadInstruction { pc, cause: *cause }),
+            None => return Err(CtrlFault::PcOutOfRange { pc }),
+        };
 
         let mut next_pc = pc.wrapping_add(1);
-        let r = |reg: systolic_ring_isa::ctrl::CReg| self.regs[reg.index()];
+        let r = |reg: CReg| self.regs[reg.index()];
 
         match instr {
             Nop => {}
@@ -362,20 +471,21 @@ impl Controller {
             Lui { rd, imm } => self.write_reg(rd, (imm as u32) << 16),
             Lw { rd, ra, imm } => {
                 let addr = r(ra).wrapping_add(imm as i32 as u32);
-                let value = *self
-                    .dmem
-                    .get(addr as usize)
+                let value = self
+                    .dmem(addr as usize)
                     .ok_or(CtrlFault::DmemOutOfRange { addr })?;
                 self.write_reg(rd, value);
             }
             Sw { rs, ra, imm } => {
                 let addr = r(ra).wrapping_add(imm as i32 as u32);
-                let slot = self
-                    .dmem
-                    .get_mut(addr as usize)
-                    .ok_or(CtrlFault::DmemOutOfRange { addr })?;
-                *slot = r(rs);
-                self.dmem_hwm = self.dmem_hwm.max(addr as usize + 1);
+                let index = addr as usize;
+                if index >= self.dmem_capacity {
+                    return Err(CtrlFault::DmemOutOfRange { addr });
+                }
+                if index >= self.dmem.len() {
+                    self.dmem.resize(index + 1, 0);
+                }
+                self.dmem[index] = r(rs);
             }
             Beq { ra, rb, offset } => {
                 if r(ra) == r(rb) {
@@ -405,48 +515,60 @@ impl Controller {
             Jr { ra } => next_pc = r(ra),
             Cimm { imm } => self.cir = imm,
             Wctx { ctx } => self.wctx = ctx,
-            Wdn { rs, dnode } => out.effects.push(CtrlEffect::WriteDnode {
-                ctx: self.wctx as usize,
-                dnode: dnode as usize,
-                word: r(rs) as u64 | (self.cir as u64) << 32,
-            }),
-            Wsw { rs, port } => out.effects.push(CtrlEffect::WritePort {
-                ctx: self.wctx as usize,
-                flat: port as usize,
-                word: r(rs),
-            }),
-            Who { rs, switch } => out.effects.push(CtrlEffect::WriteCapture {
-                ctx: self.wctx as usize,
-                switch: (switch >> 8) as usize,
-                port: (switch & 0xff) as usize,
-                word: r(rs),
-            }),
-            Wmode { rs, dnode } => out.effects.push(CtrlEffect::WriteMode {
-                dnode: dnode as usize,
-                local: r(rs) != 0,
-            }),
-            Wloc { rs, packed } => out.effects.push(CtrlEffect::WriteLocalSlot {
-                dnode: (packed >> 3) as usize,
-                slot: (packed & 7) as usize,
-                word: r(rs) as u64 | (self.cir as u64) << 32,
-            }),
-            Wlim { rs, dnode } => out.effects.push(CtrlEffect::WriteLocalLimit {
-                dnode: dnode as usize,
-                limit: r(rs),
-            }),
-            Ctx { ctx } => out.effects.push(CtrlEffect::SetActiveCtx(ctx as usize)),
-            Busw { rs } => out
-                .effects
-                .push(CtrlEffect::DriveBus(Word16::new(r(rs) as u16))),
+            Wdn { rs, dnode } => {
+                out.effect = Some(CtrlEffect::WriteDnode {
+                    ctx: self.wctx as usize,
+                    dnode: dnode as usize,
+                    word: r(rs) as u64 | (self.cir as u64) << 32,
+                })
+            }
+            Wsw { rs, port } => {
+                out.effect = Some(CtrlEffect::WritePort {
+                    ctx: self.wctx as usize,
+                    flat: port as usize,
+                    word: r(rs),
+                })
+            }
+            Who { rs, switch } => {
+                out.effect = Some(CtrlEffect::WriteCapture {
+                    ctx: self.wctx as usize,
+                    switch: (switch >> 8) as usize,
+                    port: (switch & 0xff) as usize,
+                    word: r(rs),
+                })
+            }
+            Wmode { rs, dnode } => {
+                out.effect = Some(CtrlEffect::WriteMode {
+                    dnode: dnode as usize,
+                    local: r(rs) != 0,
+                })
+            }
+            Wloc { rs, packed } => {
+                out.effect = Some(CtrlEffect::WriteLocalSlot {
+                    dnode: (packed >> 3) as usize,
+                    slot: (packed & 7) as usize,
+                    word: r(rs) as u64 | (self.cir as u64) << 32,
+                })
+            }
+            Wlim { rs, dnode } => {
+                out.effect = Some(CtrlEffect::WriteLocalLimit {
+                    dnode: dnode as usize,
+                    limit: r(rs),
+                })
+            }
+            Ctx { ctx } => out.effect = Some(CtrlEffect::SetActiveCtx(ctx as usize)),
+            Busw { rs } => out.effect = Some(CtrlEffect::DriveBus(Word16::new(r(rs) as u16))),
             Busr { rd } => {
                 let value = ports.bus();
                 self.write_reg(rd, value.bits() as u32);
             }
-            Hpush { rs, switch } => out.effects.push(CtrlEffect::HostPush {
-                switch: (switch >> 8) as usize,
-                port: (switch & 0xff) as usize,
-                word: Word16::new(r(rs) as u16),
-            }),
+            Hpush { rs, switch } => {
+                out.effect = Some(CtrlEffect::HostPush {
+                    switch: (switch >> 8) as usize,
+                    port: (switch & 0xff) as usize,
+                    word: Word16::new(r(rs) as u16),
+                })
+            }
             Hpop { rd, switch } => {
                 match ports
                     .hpop((switch >> 8) as usize, (switch & 0xff) as usize)
@@ -528,7 +650,7 @@ mod tests {
                 break;
             }
             let step = ctrl.step(&mut ports).unwrap();
-            effects.extend(step.effects);
+            effects.extend(step.effect);
         }
         (ctrl, effects)
     }

@@ -221,7 +221,30 @@ impl HostInterface {
         }
     }
 
-    /// Moves the host side into a [`HostBurst`] for a fused burst: the
+    /// The longest compiled burst over which stream delivery is known in
+    /// closed form: on a direct link with no open sink, every host-input
+    /// port with stream words left gets one word per cycle until its
+    /// stream runs dry, as long as its FIFO cannot fill. Returns the
+    /// cycles before the fullest such FIFO could fill (`u64::MAX` when no
+    /// stream is pending), or `None` on a metered link or with an open
+    /// sink, whose traffic moves cycle by cycle.
+    pub(crate) fn closed_form_room(&self, switches: &[SwitchState]) -> Option<u64> {
+        if self.link != LinkModel::Direct || !self.open.is_empty() {
+            return None;
+        }
+        if self.undelivered == 0 {
+            return Some(u64::MAX);
+        }
+        let room = switches
+            .iter()
+            .flat_map(|switch| &switch.host_in)
+            .filter(|fifo| fifo.pending() > 0)
+            .map(WordFifo::room)
+            .min();
+        Some(room.map_or(u64::MAX, |words| words as u64))
+    }
+
+    /// Moves the host side into a [`HostBurst`] for a compiled burst: the
     /// link meter, the ports with undelivered words and the open sinks.
     pub(crate) fn begin_burst(&mut self, switches: &[SwitchState]) -> HostBurst {
         let n = switches.len();
@@ -296,12 +319,12 @@ pub(crate) fn check_input_port(
     Ok(())
 }
 
-/// One machine's host side for the length of a fused burst (see
+/// One machine's host side for the length of a compiled burst (see
 /// `crate::fused`). The burst moves every host FIFO into lane-major local
 /// tables (`flat port * lanes + lane`); this holds the link meter as plain
 /// values, the input ports that still have stream words and the open
 /// sinks, so a replayed cycle touches nothing in the machine.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct HostBurst {
     link: LinkModel,
     credit: f64,
@@ -323,11 +346,9 @@ pub(crate) struct HostBurst {
 }
 
 impl HostBurst {
-    /// `false` if no cycle of the burst can change anything but the
-    /// rotation: a direct link (whose credit stays zero) with no stream
-    /// words to deliver and no open sink.
-    pub(crate) fn busy(&self) -> bool {
-        self.link != LinkModel::Direct || !self.fill.is_empty() || !self.drain.is_empty()
+    /// Accounts `words` delivered by a closed-form stream window.
+    pub(crate) fn add_delivered(&mut self, words: u64) {
+        self.words_in += words;
     }
 
     /// One cycle of host traffic for `lane` of `lanes`, over the burst's

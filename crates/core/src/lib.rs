@@ -53,7 +53,6 @@
 
 #![warn(missing_docs)]
 
-mod aot;
 pub mod config;
 pub mod controller;
 pub mod dnode;

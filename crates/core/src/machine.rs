@@ -709,9 +709,9 @@ impl RingMachine {
 
     /// The watchdog's progress-update half: folds new progress into the
     /// heartbeat without checking for a trip. Shared between the boundary
-    /// check and the AOT tier's pre-burst bound (which must account any
-    /// outstanding progress before it computes how many quiet cycles can
-    /// elapse before the earliest possible trip).
+    /// check and the compiled tier's quiet-window bound (which must
+    /// account any outstanding progress before it computes how many quiet
+    /// cycles can elapse before the earliest possible trip).
     pub(crate) fn watchdog_observe(&mut self) {
         let progress = (
             self.stats.ctrl_instrs,
@@ -1016,18 +1016,18 @@ impl RingMachine {
             }
         }
 
-        // Controller effects (after Dnode commit so mode/sequencer writes
+        // Controller effect (after Dnode commit so mode/sequencer writes
         // take effect cleanly at the next cycle boundary).
-        for effect in &ctrl_step.effects {
+        if let Some(effect) = &ctrl_step.effect {
             self.apply_effect(effect, plan)
                 .map_err(|cause| SimError::BadConfigWrite { cycle, cause })?;
         }
 
         // Shared bus: controller drive wins, then the lowest-index Dnode.
-        let ctrl_drive = ctrl_step.effects.iter().find_map(|e| match e {
-            CtrlEffect::DriveBus(w) => Some(*w),
+        let ctrl_drive = match ctrl_step.effect {
+            Some(CtrlEffect::DriveBus(word)) => Some(word),
             _ => None,
-        });
+        };
         let total_drivers = bus_drives.len() + usize::from(ctrl_drive.is_some());
         if total_drivers > 1 {
             self.stats.bus_conflicts += 1;
@@ -1167,18 +1167,18 @@ impl RingMachine {
             }
         }
 
-        // Controller effects (after Dnode commit so mode/sequencer writes
+        // Controller effect (after Dnode commit so mode/sequencer writes
         // take effect cleanly at the next cycle boundary).
-        for effect in &ctrl_step.effects {
+        if let Some(effect) = &ctrl_step.effect {
             self.apply_effect(effect, plan)
                 .map_err(|cause| SimError::BadConfigWrite { cycle, cause })?;
         }
 
         // Shared bus: controller drive wins, then the lowest-index Dnode.
-        let ctrl_drive = ctrl_step.effects.iter().find_map(|e| match e {
-            CtrlEffect::DriveBus(w) => Some(*w),
+        let ctrl_drive = match ctrl_step.effect {
+            Some(CtrlEffect::DriveBus(word)) => Some(word),
             _ => None,
-        });
+        };
         let total_drivers = bus_count + usize::from(ctrl_drive.is_some());
         if total_drivers > 1 {
             self.stats.bus_conflicts += 1;
@@ -1197,8 +1197,7 @@ impl RingMachine {
         Ok(())
     }
 
-    /// The controller's share of the compute phase (both paths, and the
-    /// AOT schedule burst's per-cycle controller replay).
+    /// The controller's share of the compute phase (both per-cycle paths).
     pub(crate) fn controller_substep(&mut self, cycle: u64) -> Result<CtrlStep, SimError> {
         let ctrl_step = {
             let mut ports = PortsAdapter {
@@ -1309,9 +1308,9 @@ impl RingMachine {
     /// Runs `cycles` clock cycles.
     ///
     /// This is the entry point for compiled bursts (see
-    /// [`MachineParams::fused`]): whenever the machine is quiescent, a
-    /// whole window of cycles executes as one burst of the compiled
-    /// program for its configuration; otherwise the machine advances one
+    /// [`MachineParams::fused`]): whenever the next cycles are admitted,
+    /// they execute as one burst through the compiled programs of the
+    /// configurations they run under; otherwise the machine advances one
     /// [`RingMachine::step`] at a time. Either way, exactly `cycles`
     /// cycles are executed.
     ///
@@ -1386,10 +1385,9 @@ impl RingMachine {
             if self.cycle - start >= max_cycles {
                 return Err(SimError::CycleLimit { limit: max_cycles });
             }
-            // A compiled burst never runs with the controller halted here,
-            // so it covers a pending `wait` or an admitted schedule region
-            // — whose cycles all count against the budget exactly as
-            // stepping them would.
+            // A burst ends at the latest on the cycle a `halt` retires, so
+            // its cycles all count against the budget exactly as stepping
+            // them would.
             let budget = max_cycles - (self.cycle - start);
             if self.try_burst(budget) == 0 {
                 self.step()?;

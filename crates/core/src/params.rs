@@ -72,39 +72,42 @@ pub struct MachineParams {
     /// [`crate::Stats::decode_cache_misses`] counters — so differential
     /// tests oracle one against the other.
     pub decode_cache: bool,
-    /// Execute quiescent windows through the compiled tier.
+    /// Execute through the compiled tier.
     ///
     /// When `true` (the default) *and* the predecoded cache is enabled,
     /// [`crate::RingMachine::run`] and
     /// [`crate::RingMachine::run_until_halt`] execute every admitted
-    /// window — the controller halted or mid-`wait`, no fault injector
-    /// armed, no context select staged, at least 8 cycles, and under an
-    /// armed watchdog only provably quiet windows that end before the
-    /// earliest possible trip — as one *compiled burst*: the whole ring is
+    /// stretch of cycles as one *compiled burst*: the whole ring is
     /// compiled into a flat, phase-scheduled operation list and replayed
-    /// over a struct-of-arrays snapshot of machine state with no per-cycle
-    /// decode, dispatch or staging. Programs are cached by configuration
-    /// content, so a window is compiled the first time its configuration
-    /// is seen (a guard miss) and re-entered whenever it returns; no
-    /// reconfiguration deoptimizes anything. The compiled tier is
-    /// architecturally indistinguishable from the decoded path — same
-    /// outputs, traces and statistics except the engine counters that
+    /// over a struct-of-arrays snapshot of machine state with no
+    /// per-cycle decode, dispatch or staging. A cycle is admitted when no
+    /// fault injector is armed, no context select is staged, and the
+    /// controller is halted, waiting, or about to execute a burst-safe
+    /// instruction — one that cannot fault and touches neither the
+    /// configuration nor a host FIFO. The controller steps inside the
+    /// burst, and a `ctx` switch moves the burst to the new context's
+    /// program; the burst stops before any other instruction and on the
+    /// cycle a `halt` retires. Under an armed watchdog only quiet windows
+    /// run compiled (the controller halted or mid-`wait`, direct link,
+    /// streams drained, no open sinks, ending before the earliest
+    /// possible trip). Programs are cached by configuration content, so
+    /// a configuration is compiled the first time it is seen (a guard
+    /// miss) and re-entered whenever it returns; no reconfiguration
+    /// deoptimizes anything. The compiled tier is architecturally
+    /// indistinguishable from the decoded path — same outputs, traces,
+    /// faults and statistics except the engine counters that
     /// [`crate::Stats::without_cache_counters`] zeroes.
     /// [`crate::RingMachine::step`] never bursts: single-cycle stepping
     /// (and therefore per-cycle tracing) always takes the decoded path.
     pub fused: bool,
-    /// Add running-controller schedule bursts to the compiled tier (the
-    /// `aot` tier).
+    /// Book single-machine compiled bursts under the `aot_*` counters.
     ///
-    /// With [`MachineParams::fused`] and [`MachineParams::decode_cache`]
-    /// also set, a running controller that provably stays off the datapath
-    /// — every instruction retires without reading the bus or a host FIFO,
-    /// and its only effect is a context select — no longer forces the
-    /// decoded path: the admitted cycles run as per-context bursts through
-    /// the same program cache while the controller replays alongside.
-    /// Single-machine bursts then count under [`crate::Stats::aot_entries`]
-    /// / [`crate::Stats::aot_cycles`] instead of the `fused_*` counters.
-    /// Off by default (`MachineParams::PAPER`).
+    /// The flag changes no behaviour and no coverage: with it set,
+    /// single-machine bursts count under [`crate::Stats::aot_entries`] /
+    /// [`crate::Stats::aot_cycles`] instead of the `fused_*` counters
+    /// (lockstep bursts always count as `fused_*`). It remains so
+    /// differential suites and benchmarks can keep an `aot` column. Off
+    /// by default (`MachineParams::PAPER`).
     pub aot: bool,
     /// Fault-injection and fault-detection configuration.
     ///
@@ -212,9 +215,10 @@ impl MachineParams {
         self
     }
 
-    /// Builder: enable or disable schedule bursts (the `aot` tier).
+    /// Builder: book single-machine compiled bursts under `aot_*` (see
+    /// [`MachineParams::aot`]).
     ///
-    /// Schedule bursts additionally require the predecoded cache and the
+    /// Compiled bursts additionally require the predecoded cache and the
     /// compiled tier ([`MachineParams::decode_cache`],
     /// [`MachineParams::fused`]); with either off this flag has no effect.
     pub fn with_aot(mut self, aot: bool) -> Self {
@@ -345,12 +349,12 @@ pub fn with_fused<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
 /// Runs `f` with [`MachineParams::aot`] forced to `enabled` for every
 /// [`crate::RingMachine`] *created* on this thread inside the call.
 ///
-/// The AOT-tier analogue of [`with_fused`]: kernel drivers construct their
-/// machines internally with fixed parameters, so the four-way differential
-/// oracle (slow / decoded / fused / aot) wraps whole driver calls in
-/// `with_aot` scopes instead of widening every driver signature. Nests,
-/// applies only to machine construction, and is restored even if `f`
-/// panics.
+/// The `aot`-counter analogue of [`with_fused`]: kernel drivers construct
+/// their machines internally with fixed parameters, so the four-column
+/// differential oracle (slow / decoded / fused / aot) wraps whole driver
+/// calls in `with_aot` scopes instead of widening every driver signature.
+/// Nests, applies only to machine construction, and is restored even if
+/// `f` panics.
 ///
 /// # Examples
 ///

@@ -62,9 +62,11 @@ pub struct Stats {
     /// Burst entries whose configuration content matched no cached
     /// program. Each compiles the new window and enters it at once.
     pub guard_misses: u64,
-    /// Compiled bursts entered outside the `aot` tier: single-machine
-    /// bursts with [`crate::MachineParams::aot`] off, and every
-    /// [`crate::lockstep_burst`] (always 0 when
+    /// Compiled-program entries booked as `fused`: one per context
+    /// segment of a single-machine burst with
+    /// [`crate::MachineParams::aot`] off (a burst that steps the
+    /// controller through `ctx` switches enters one program per
+    /// context), and one per [`crate::lockstep_burst`] (always 0 when
     /// [`crate::MachineParams::fused`] is off).
     pub fused_entries: u64,
     /// Always 0: no tier deoptimizes, because a changed configuration is a
@@ -79,12 +81,13 @@ pub struct Stats {
     /// occupancy of the fused engine is `fused_lane_occupancy /
     /// fused_cycles`.
     pub fused_lane_occupancy: u64,
-    /// Single-machine compiled bursts entered on the `aot` tier, schedule
-    /// bursts included (always 0 when [`crate::MachineParams::aot`] is
-    /// off).
+    /// Compiled-program entries of single-machine bursts with
+    /// [`crate::MachineParams::aot`] set, one per context segment, as
+    /// `fused_entries` counts them with the flag off (always 0 when the
+    /// flag is off).
     pub aot_entries: u64,
-    /// Cycles executed inside bursts counted by `aot_entries` (subset of
-    /// `cycles`, disjoint from `fused_cycles`).
+    /// Cycles executed inside the segments counted by `aot_entries`
+    /// (subset of `cycles`, disjoint from `fused_cycles`).
     pub aot_cycles: u64,
     /// Faults injected by the fault injector (all classes).
     pub faults_injected: u64,

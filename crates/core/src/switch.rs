@@ -241,6 +241,63 @@ impl WordFifo {
         moved
     }
 
+    /// Words the FIFO can still take before it is full.
+    #[inline]
+    pub(crate) fn room(&self) -> usize {
+        self.capacity.saturating_sub(self.len())
+    }
+
+    /// Compiled-burst read: pops the head if it lies below both the tail
+    /// and `limit`, without compacting the buffer ([`WordFifo::settle`]
+    /// does that once the burst ends). `limit` bounds what a closed-form
+    /// delivery window has delivered by now (see
+    /// [`WordFifo::open_stream`]).
+    #[inline]
+    pub(crate) fn pop_below(&mut self, limit: usize) -> Option<Word16> {
+        if self.head < self.tail.min(limit) {
+            let word = self.buf[self.head];
+            self.head += 1;
+            Some(word)
+        } else {
+            None
+        }
+    }
+
+    /// Opens a closed-form delivery window for a compiled burst: moves the
+    /// tail past the whole attached stream and returns the tail it had.
+    /// While the window is open, a read `t` cycles in must go through
+    /// [`WordFifo::pop_below`] with `limit = returned tail + t`: on a
+    /// direct link one word per cycle is delivered until the stream runs
+    /// dry, so that is exactly what the per-cycle delivery would have
+    /// made visible. The caller guarantees the FIFO cannot fill within the
+    /// window.
+    pub(crate) fn open_stream(&mut self) -> usize {
+        let tail = self.tail;
+        self.tail = self.buf.len();
+        tail
+    }
+
+    /// Closes a closed-form window opened at tail `tail` after `cycles`
+    /// cycles: the stream delivered one word per cycle until it ran dry.
+    /// Returns the words delivered.
+    pub(crate) fn close_stream(&mut self, tail: usize, cycles: u64) -> u64 {
+        let end = tail
+            .saturating_add(usize::try_from(cycles).unwrap_or(usize::MAX))
+            .min(self.buf.len());
+        self.tail = end;
+        (end - tail) as u64
+    }
+
+    /// Empties the buffer if every stored word has been consumed, as
+    /// [`WordFifo::pop`] does when it takes the last one.
+    pub(crate) fn settle(&mut self) {
+        if self.head == self.buf.len() {
+            self.buf.clear();
+            self.head = 0;
+            self.tail = 0;
+        }
+    }
+
     /// Words held in the backing buffer: the consumed prefix not yet
     /// compacted away, the queue and the undelivered stream.
     pub fn stored(&self) -> usize {

@@ -1,5 +1,5 @@
-//! Differential validation of the `aot` tier (the compiled tier plus
-//! running-controller schedule bursts).
+//! Differential validation of the `aot` column: the compiled tier with
+//! single-machine bursts booked under the `aot_*` counters.
 //!
 //! Every test here runs the same scenario on four machines — the `aot`
 //! tier (`aot` + `fused` + `decode_cache`), the default compiled tier,

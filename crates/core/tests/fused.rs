@@ -17,7 +17,7 @@
 
 use systolic_ring_core::controller::CtrlState;
 use systolic_ring_core::fault::FaultConfig;
-use systolic_ring_core::{lockstep_burst, MachineParams, RingMachine};
+use systolic_ring_core::{lockstep_burst, LinkModel, MachineParams, RingMachine, SimError};
 use systolic_ring_harness::for_random_cases;
 use systolic_ring_harness::testkit::TestRng;
 use systolic_ring_isa::ctrl::{CReg, CtrlInstr};
@@ -111,6 +111,91 @@ fn load32(code: &mut Vec<u32>, rd: CReg, value: u32) {
     );
 }
 
+/// Appends a valid configuration write of kind `kind` (0..6: `wdn`,
+/// `wsw`, `who`, `wmode`, `wloc`, `wlim`) with random operands, using
+/// controller registers r1..r6 for its values.
+fn config_write(rng: &mut TestRng, code: &mut Vec<u32>, kind: usize) {
+    match kind {
+        0 => {
+            let word = any_micro(rng).encode();
+            code.push(
+                CtrlInstr::Cimm {
+                    imm: (word >> 32) as u16,
+                }
+                .encode(),
+            );
+            load32(code, r(1), word as u32);
+            code.push(
+                CtrlInstr::Wdn {
+                    rs: r(1),
+                    dnode: rng.index(8) as u16,
+                }
+                .encode(),
+            );
+        }
+        1 => {
+            load32(code, r(2), any_source(rng).encode());
+            code.push(
+                CtrlInstr::Wsw {
+                    rs: r(2),
+                    port: rng.index(32) as u16,
+                }
+                .encode(),
+            );
+        }
+        2 => {
+            let capture = if rng.next_bool() {
+                HostCapture::lane(rng.index(2) as u8)
+            } else {
+                HostCapture::DISABLED
+            };
+            load32(code, r(3), capture.encode());
+            let switch = rng.index(4) as u16;
+            let port = rng.index(2) as u16;
+            code.push(
+                CtrlInstr::Who {
+                    rs: r(3),
+                    switch: (switch << 8) | port,
+                }
+                .encode(),
+            );
+        }
+        3 => {
+            load32(code, r(4), rng.next_bool() as u32);
+            code.push(
+                CtrlInstr::Wmode {
+                    rs: r(4),
+                    dnode: rng.index(8) as u16,
+                }
+                .encode(),
+            );
+        }
+        4 => {
+            let word = any_micro(rng).encode();
+            code.push(
+                CtrlInstr::Cimm {
+                    imm: (word >> 32) as u16,
+                }
+                .encode(),
+            );
+            load32(code, r(5), word as u32);
+            let packed = ((rng.index(8) << 3) | rng.index(8)) as u16;
+            code.push(CtrlInstr::Wloc { rs: r(5), packed }.encode());
+        }
+        5 => {
+            load32(code, r(6), 1 + rng.index(8) as u32);
+            code.push(
+                CtrlInstr::Wlim {
+                    rs: r(6),
+                    dnode: rng.index(8) as u16,
+                }
+                .encode(),
+            );
+        }
+        _ => unreachable!("six kinds of configuration write"),
+    }
+}
+
 /// A random controller program interleaving *long* waits (so compiled
 /// bursts have room to enter between writes) with valid configuration
 /// writes of every kind. A burst after each write must resolve the
@@ -126,82 +211,7 @@ fn reconfig_program(rng: &mut TestRng) -> Vec<u32> {
             .encode(),
         );
         match rng.index(8) {
-            0 => {
-                let word = any_micro(rng).encode();
-                code.push(
-                    CtrlInstr::Cimm {
-                        imm: (word >> 32) as u16,
-                    }
-                    .encode(),
-                );
-                load32(&mut code, r(1), word as u32);
-                code.push(
-                    CtrlInstr::Wdn {
-                        rs: r(1),
-                        dnode: rng.index(8) as u16,
-                    }
-                    .encode(),
-                );
-            }
-            1 => {
-                load32(&mut code, r(2), any_source(rng).encode());
-                code.push(
-                    CtrlInstr::Wsw {
-                        rs: r(2),
-                        port: rng.index(32) as u16,
-                    }
-                    .encode(),
-                );
-            }
-            2 => {
-                let capture = if rng.next_bool() {
-                    HostCapture::lane(rng.index(2) as u8)
-                } else {
-                    HostCapture::DISABLED
-                };
-                load32(&mut code, r(3), capture.encode());
-                let switch = rng.index(4) as u16;
-                let port = rng.index(2) as u16;
-                code.push(
-                    CtrlInstr::Who {
-                        rs: r(3),
-                        switch: (switch << 8) | port,
-                    }
-                    .encode(),
-                );
-            }
-            3 => {
-                load32(&mut code, r(4), rng.next_bool() as u32);
-                code.push(
-                    CtrlInstr::Wmode {
-                        rs: r(4),
-                        dnode: rng.index(8) as u16,
-                    }
-                    .encode(),
-                );
-            }
-            4 => {
-                let word = any_micro(rng).encode();
-                code.push(
-                    CtrlInstr::Cimm {
-                        imm: (word >> 32) as u16,
-                    }
-                    .encode(),
-                );
-                load32(&mut code, r(5), word as u32);
-                let packed = ((rng.index(8) << 3) | rng.index(8)) as u16;
-                code.push(CtrlInstr::Wloc { rs: r(5), packed }.encode());
-            }
-            5 => {
-                load32(&mut code, r(6), 1 + rng.index(8) as u32);
-                code.push(
-                    CtrlInstr::Wlim {
-                        rs: r(6),
-                        dnode: rng.index(8) as u16,
-                    }
-                    .encode(),
-                );
-            }
+            kind @ 0..=5 => config_write(rng, &mut code, kind),
             6 => {
                 code.push(
                     CtrlInstr::Ctx {
@@ -693,7 +703,8 @@ fn a_short_wait_after_load_runs_compiled() {
 
 /// A controller alternating two contexts with a short `wait` in each
 /// compiles each context's window once and re-enters it from the cache
-/// on every later round.
+/// on every later round. The whole run is one burst with the controller
+/// stepping inside it, and every context segment is one program entry.
 #[test]
 fn alternating_contexts_reenter_their_cached_programs() {
     const ROUNDS: i16 = 8;
@@ -765,7 +776,372 @@ fn alternating_contexts_reenter_their_cached_programs() {
     assert_eq!(compiled.cached_programs(), 2);
     assert_eq!(
         stats.fused_entries,
-        2 * ROUNDS as u64,
-        "every wait re-enters its context's program"
+        2 * ROUNDS as u64 + 1,
+        "the setup segment in context 0, then one entry per context switch"
+    );
+    assert_eq!(
+        stats.fused_cycles, stats.cycles,
+        "the whole run is compiled"
+    );
+}
+
+/// Data-memory capacity of the running-burst scenarios: small, so a
+/// random store can fall past it.
+const RUNNING_DMEM: u16 = 48;
+
+/// A controller register in r1..r6 (r7 is the loop counter).
+fn any_creg(rng: &mut TestRng) -> CReg {
+    r(1 + rng.index(6) as u8)
+}
+
+/// A random controller program for the running-burst differential: a
+/// counted loop whose body mixes burst-safe instructions (ALU and
+/// immediate ops, `lw`/`sw`, forward branches, `ctx`, `busr`, `busw`,
+/// `wait`), burst-ending ones (configuration writes, `hpush`, `hpop`)
+/// and, rarely, faulting ones (a store past the data memory, a jump past
+/// the program, a `ctx` past the contexts).
+fn running_program(rng: &mut TestRng, contexts: usize) -> Vec<u32> {
+    let mut code = vec![CtrlInstr::Addi {
+        rd: r(7),
+        ra: r(0),
+        imm: 2 + rng.index(6) as i16,
+    }
+    .encode()];
+    let top = code.len();
+    for _ in 0..6 + rng.index(24) {
+        let instr = match rng.index(100) {
+            0..=17 => {
+                let (rd, ra, rb) = (any_creg(rng), any_creg(rng), any_creg(rng));
+                match rng.index(8) {
+                    0 => CtrlInstr::Add { rd, ra, rb },
+                    1 => CtrlInstr::Sub { rd, ra, rb },
+                    2 => CtrlInstr::Xor { rd, ra, rb },
+                    3 => CtrlInstr::Slt { rd, ra, rb },
+                    4 => CtrlInstr::Mul { rd, ra, rb },
+                    5 => CtrlInstr::Lui {
+                        rd,
+                        imm: rng.any_i16() as u16,
+                    },
+                    6 => CtrlInstr::Ori {
+                        rd,
+                        ra,
+                        imm: rng.any_i16() as u16,
+                    },
+                    _ => CtrlInstr::Addi {
+                        rd,
+                        ra,
+                        imm: rng.any_i16(),
+                    },
+                }
+            }
+            18..=29 => CtrlInstr::Ctx {
+                ctx: rng.index(contexts) as u16,
+            },
+            30..=37 => CtrlInstr::Busr { rd: any_creg(rng) },
+            38..=45 => CtrlInstr::Busw { rs: any_creg(rng) },
+            46..=49 => CtrlInstr::Sw {
+                rs: any_creg(rng),
+                ra: r(0),
+                imm: rng.index(RUNNING_DMEM as usize) as i16,
+            },
+            50..=53 => CtrlInstr::Lw {
+                rd: any_creg(rng),
+                ra: r(0),
+                imm: rng.index(RUNNING_DMEM as usize) as i16,
+            },
+            54..=59 => CtrlInstr::Wait {
+                cycles: rng.index(24) as u16,
+            },
+            60..=64 => {
+                let (ra, rb) = (any_creg(rng), any_creg(rng));
+                let offset = rng.index(3) as i16;
+                match rng.index(4) {
+                    0 => CtrlInstr::Beq { ra, rb, offset },
+                    1 => CtrlInstr::Bne { ra, rb, offset },
+                    2 => CtrlInstr::Blt { ra, rb, offset },
+                    _ => CtrlInstr::Bge { ra, rb, offset },
+                }
+            }
+            65..=67 => CtrlInstr::Nop,
+            68..=77 => {
+                if rng.next_bool() {
+                    code.push(
+                        CtrlInstr::Wctx {
+                            ctx: rng.index(contexts) as u16,
+                        }
+                        .encode(),
+                    );
+                }
+                let kind = rng.index(6);
+                config_write(rng, &mut code, kind);
+                continue;
+            }
+            78..=82 => {
+                let (switch, port) = (rng.index(4) as u16, rng.index(4) as u16);
+                CtrlInstr::Hpush {
+                    rs: any_creg(rng),
+                    switch: switch << 8 | port,
+                }
+            }
+            83..=85 => {
+                let (switch, port) = (rng.index(4) as u16, rng.index(2) as u16);
+                CtrlInstr::Hpop {
+                    rd: any_creg(rng),
+                    switch: switch << 8 | port,
+                }
+            }
+            86 => CtrlInstr::Sw {
+                rs: any_creg(rng),
+                ra: r(0),
+                imm: (RUNNING_DMEM + rng.index(8) as u16) as i16,
+            },
+            87 => CtrlInstr::J { target: 4000 },
+            88 => CtrlInstr::Ctx {
+                ctx: (contexts + rng.index(4)) as u16,
+            },
+            _ => CtrlInstr::Addi {
+                rd: any_creg(rng),
+                ra: any_creg(rng),
+                imm: rng.any_i16(),
+            },
+        };
+        code.push(instr.encode());
+    }
+    code.push(
+        CtrlInstr::Addi {
+            rd: r(7),
+            ra: r(7),
+            imm: -1,
+        }
+        .encode(),
+    );
+    let back = top as i32 - code.len() as i32 - 1;
+    code.push(
+        CtrlInstr::Bne {
+            ra: r(7),
+            rb: r(0),
+            offset: back as i16,
+        }
+        .encode(),
+    );
+    code.push(CtrlInstr::Halt.encode());
+    code
+}
+
+/// A random fabric over `contexts` contexts driven by a
+/// [`running_program`]: random streams on a direct or metered link, FIFOs
+/// small enough to fill or large enough to stream in closed form, and
+/// open sinks on some ports or none.
+struct RunningScenario {
+    params: MachineParams,
+    instrs: Vec<(usize, usize, MicroInstr)>,
+    sources: Vec<(usize, usize, usize, usize, PortSource)>,
+    captures: Vec<(usize, usize, usize, u8)>,
+    locals: Vec<(usize, Vec<MicroInstr>)>,
+    modes: Vec<usize>,
+    sinks: Vec<(usize, usize)>,
+    streams: Vec<(usize, usize, Vec<Word16>)>,
+    program: Vec<u32>,
+}
+
+impl RunningScenario {
+    fn random(rng: &mut TestRng) -> RunningScenario {
+        let contexts = 2 + rng.index(3);
+        let link = if rng.index(3) == 0 {
+            LinkModel::Metered {
+                bytes_per_cycle: *rng.choose(&[1.25, 3.0, 8.0]),
+            }
+        } else {
+            LinkModel::Direct
+        };
+        let params = MachineParams {
+            dmem_capacity: RUNNING_DMEM as usize,
+            ..MachineParams::PAPER
+        }
+        .with_link(link)
+        .with_host_fifo_capacity(*rng.choose(&[3, 16, 4096]));
+        let mut s = RunningScenario {
+            params,
+            instrs: Vec::new(),
+            sources: Vec::new(),
+            captures: Vec::new(),
+            locals: Vec::new(),
+            modes: Vec::new(),
+            sinks: Vec::new(),
+            streams: Vec::new(),
+            program: running_program(rng, contexts),
+        };
+        for ctx in 0..contexts {
+            for d in 0..8 {
+                // Few bus drivers per cycle, so a controller `busw` often
+                // meets exactly one Dnode driver: a conflict only the
+                // controller's drive makes.
+                let instr = MicroInstr {
+                    wr_bus: rng.index(8) == 0,
+                    ..any_micro(rng)
+                };
+                s.instrs.push((ctx, d, instr));
+            }
+            for i in 0..16 {
+                s.sources
+                    .push((ctx, i % 4, (i / 4) % 2, i % 4, any_source(rng)));
+            }
+            for _ in 0..rng.index(3) {
+                let (switch, port) = (rng.index(4), rng.index(2));
+                s.captures.push((ctx, switch, port, rng.index(2) as u8));
+            }
+        }
+        for d in 0..8 {
+            if rng.index(3) == 0 {
+                let len = 1 + rng.index(4);
+                s.locals
+                    .push((d, (0..len).map(|_| any_micro(rng)).collect()));
+                if rng.next_bool() {
+                    s.modes.push(d);
+                }
+            }
+        }
+        if rng.next_bool() {
+            for _ in 0..1 + rng.index(2) {
+                s.sinks.push((rng.index(4), rng.index(2)));
+            }
+        }
+        for _ in 0..1 + rng.index(4) {
+            let (switch, port) = (rng.index(4), rng.index(4));
+            let len = rng.index(240);
+            let words = (0..len).map(|_| Word16::from_i16(rng.any_i16())).collect();
+            s.streams.push((switch, port, words));
+        }
+        s
+    }
+
+    /// The scenario on the compiled tier (`compiled`) or the slow
+    /// reference.
+    fn build(&self, compiled: bool) -> RingMachine {
+        let params = if compiled {
+            self.params
+        } else {
+            self.params.with_fused(false).with_decode_cache(false)
+        };
+        let mut m = RingMachine::new(RingGeometry::RING_8, params);
+        for &(ctx, d, instr) in &self.instrs {
+            m.configure().set_dnode_instr(ctx, d, instr).expect("instr");
+        }
+        for &(ctx, switch, lane, port, src) in &self.sources {
+            m.configure()
+                .set_port(ctx, switch, lane, port, src)
+                .expect("port");
+        }
+        for &(ctx, switch, port, lane) in &self.captures {
+            m.configure()
+                .set_capture(ctx, switch, port, HostCapture::lane(lane))
+                .expect("capture");
+        }
+        for (d, prog) in &self.locals {
+            m.set_local_program(*d, prog).expect("local program");
+        }
+        for &d in &self.modes {
+            m.set_mode(d, DnodeMode::Local);
+        }
+        for &(switch, port) in &self.sinks {
+            m.open_sink(switch, port).expect("sink");
+        }
+        for (switch, port, words) in &self.streams {
+            m.attach_input(*switch, *port, words.iter().copied())
+                .expect("stream");
+        }
+        m.controller_mut()
+            .load_program(&self.program)
+            .expect("program loads");
+        m
+    }
+}
+
+/// Everything architecturally visible, beyond [`assert_same_state`]: the
+/// whole controller, the configuration layer, every switch's pipeline
+/// and FIFOs (stream words included), every sink and every statistic
+/// outside the engines' bookkeeping.
+fn assert_same_machine(a: &RingMachine, b: &RingMachine, what: &str) {
+    assert_same_state(a, b, what);
+    assert_eq!(a.controller(), b.controller(), "{what}: controller");
+    assert!(a.config() == b.config(), "{what}: configuration");
+    for s in 0..a.geometry().switches() {
+        assert_eq!(a.switch(s), b.switch(s), "{what}: switch {s}");
+        for p in 0..a.switch(s).host_out_ports() {
+            assert_eq!(
+                a.host().sink(s, p).expect("sink"),
+                b.host().sink(s, p).expect("sink"),
+                "{what}: sink ({s}, {p})"
+            );
+        }
+    }
+    assert_eq!(
+        a.stats().without_cache_counters(),
+        b.stats().without_cache_counters(),
+        "{what}: statistics"
+    );
+}
+
+/// Random controller programs running inside compiled bursts stay
+/// bit-identical to the slow tier: machine state, sinks, FIFOs,
+/// statistics, the fault and its cycle, and `run_until_halt` at random
+/// budgets, where a `CycleLimit` must leave exactly the budget executed.
+/// Across the sweep, controller instructions must actually retire inside
+/// bursts, and runs must end in every way a run can: halted, out of
+/// budget and faulted.
+#[test]
+fn running_controller_bursts_match_the_slow_tier() {
+    let (mut in_burst, mut halted, mut limited, mut faulted) = (0, 0, 0, 0);
+    for_random_cases!(96, 0x2c0f_b055, |rng| {
+        let scenario = RunningScenario::random(rng);
+        let mut compiled = scenario.build(true);
+        let mut slow = scenario.build(false);
+        let by_budget = rng.next_bool();
+        for round in 0..12 {
+            let what = format!("round {round}");
+            let budget = 1 + rng.index(if by_budget { 400 } else { 160 }) as u64;
+            let start = slow.cycle();
+            let outcome = if by_budget {
+                let a = compiled.run_until_halt(budget);
+                let b = slow.run_until_halt(budget);
+                assert_eq!(a, b, "{what}: run_until_halt({budget})");
+                a.map(|_| ())
+            } else {
+                let a = compiled.run(budget);
+                let b = slow.run(budget);
+                assert_eq!(a, b, "{what}: run({budget})");
+                a
+            };
+            assert_same_machine(&compiled, &slow, &what);
+            match outcome {
+                Ok(()) if compiled.controller().is_halted() => {
+                    halted += 1;
+                    break;
+                }
+                Ok(()) => {}
+                Err(SimError::CycleLimit { limit }) => {
+                    assert_eq!(slow.cycle() - start, limit, "{what}: budget not exact");
+                    limited += 1;
+                }
+                Err(_) => {
+                    faulted += 1;
+                    break;
+                }
+            }
+        }
+        // Each cycle stepped outside a burst retires at most one
+        // instruction; any surplus retired inside one.
+        let stats = compiled.stats();
+        if stats.ctrl_instrs > stats.cycles - stats.fused_cycles {
+            in_burst += 1;
+        }
+    });
+    assert!(
+        in_burst >= 24,
+        "the controller rarely ran inside bursts ({in_burst})"
+    );
+    assert!(
+        halted > 0 && limited > 0 && faulted > 0,
+        "{halted} halted, {limited} limited, {faulted} faulted"
     );
 }

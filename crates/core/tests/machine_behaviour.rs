@@ -786,3 +786,51 @@ fn controller_hpop_addresses_ports() {
     m.run_until_halt(100).unwrap();
     assert_eq!(m.controller().dmem(0), Some(99));
 }
+
+/// An undecodable program word faults only when the controller fetches
+/// it — never at load, never while it is jumped over — and then at the
+/// same cycle and pc on every execution tier.
+#[test]
+fn undecodable_word_faults_only_when_fetched() {
+    let bad = u32::MAX;
+    assert!(CtrlInstr::decode(bad).is_err(), "the word must not decode");
+    let code = vec![
+        CtrlInstr::Nop.encode(),
+        CtrlInstr::J { target: 3 }.encode(),
+        bad,
+        CtrlInstr::Addi {
+            rd: r(1),
+            ra: r(0),
+            imm: 1,
+        }
+        .encode(),
+        CtrlInstr::Wait { cycles: 20 }.encode(),
+        CtrlInstr::J { target: 2 }.encode(),
+    ];
+    let tiers = [
+        MachineParams::PAPER,
+        MachineParams::PAPER.with_fused(false),
+        MachineParams::PAPER
+            .with_fused(false)
+            .with_decode_cache(false),
+    ];
+    for params in tiers {
+        let mut m = RingMachine::new(RingGeometry::RING_8, params);
+        m.controller_mut().load_program(&code).expect("loads");
+        let err = m.run(200).expect_err("the fetch of word 2 faults");
+        // nop, j, addi, wait (1 + 19 stall cycles), j: the fetch of word 2
+        // happens on cycle 24.
+        match err {
+            SimError::BadInstruction { cycle, pc, .. } => {
+                assert_eq!((cycle, pc), (24, 2), "{params:?}");
+            }
+            other => panic!("{params:?}: expected BadInstruction, got {other}"),
+        }
+        assert_eq!(
+            m.cycle(),
+            24,
+            "{params:?}: the faulting cycle did not complete"
+        );
+        assert_eq!(m.controller().reg(1), 1, "{params:?}");
+    }
+}

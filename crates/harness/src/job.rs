@@ -509,10 +509,9 @@ impl Job {
         })
     }
 
-    /// Forces the ahead-of-time superblock cache on or off for every
-    /// machine this job creates (see
-    /// [`systolic_ring_core::MachineParams::aot`]; the aot tier
-    /// additionally requires the decode cache and the fused engine).
+    /// Forces `aot_*` burst accounting on or off for every machine this
+    /// job creates (see [`systolic_ring_core::MachineParams::aot`]; it
+    /// only matters with the decode cache and the fused engine on).
     ///
     /// Machine jobs get the flag set directly on their
     /// [`MachineParams`]; custom jobs are wrapped in a

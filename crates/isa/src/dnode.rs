@@ -287,6 +287,7 @@ impl AluOp {
     ///
     /// `acc` is the pre-cycle value of the destination register and is only
     /// observed by the multiply-accumulate family.
+    #[inline]
     pub fn eval(self, a: Word16, b: Word16, acc: Word16) -> Word16 {
         match self {
             AluOp::Nop => Word16::ZERO,

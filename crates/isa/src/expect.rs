@@ -25,8 +25,8 @@ pub enum Tier {
     /// Full paper-faithful fast path: decode cache plus the compiled
     /// tier's content-keyed program cache.
     Fused,
-    /// Everything in `Fused` plus schedule bursts, which also compile the
-    /// cycles of a running controller that stays off the datapath.
+    /// `Fused` with single-machine bursts booked under the `aot_*`
+    /// counters; it runs exactly what `Fused` runs.
     Aot,
 }
 

@@ -257,7 +257,10 @@ pub fn block_match(
 
     // ---- Streams ----------------------------------------------------------
     // Unit u, round r handles candidate r*units + u; idle slots are padded
-    // with zeros so every unit consumes exactly px words per round.
+    // with zeros so every unit consumes exactly px words per round. A
+    // candidate's pixels are copied row by row straight out of the frame.
+    let frame = reference.data();
+    let stride = reference.width();
     for p in 0..geometry.layers() / 2 {
         for l in 0..geometry.width() {
             let u = p * geometry.width() + l;
@@ -270,12 +273,10 @@ pub fn block_match(
                         ref_stream.extend(block.iter().map(|&v| Word16::from_i16(v)));
                         let cx = (spec.x0 as isize + dx) as usize;
                         let cy = (spec.y0 as isize + dy) as usize;
-                        cand_stream.extend(
-                            reference
-                                .block(cx, cy, bs, bs)
-                                .iter()
-                                .map(|&v| Word16::from_i16(v)),
-                        );
+                        for row in frame[cy * stride..].chunks(stride).take(bs) {
+                            cand_stream
+                                .extend(row[cx..cx + bs].iter().map(|&v| Word16::from_i16(v)));
+                        }
                     }
                     None => {
                         ref_stream.extend(std::iter::repeat_n(Word16::ZERO, px));

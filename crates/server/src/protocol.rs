@@ -376,11 +376,11 @@ pub fn status_json(ticket: u64, status: &JobStatus) -> String {
                     out.push(',');
                 }
                 out.push('[');
-                for (j, word) in sink.iter().enumerate() {
+                for (j, &word) in sink.iter().enumerate() {
                     if j > 0 {
                         out.push(',');
                     }
-                    out.push_str(&word.to_string());
+                    push_i16(&mut out, word);
                 }
                 out.push(']');
             }
@@ -397,6 +397,26 @@ pub fn status_json(ticket: u64, status: &JobStatus) -> String {
     }
     out.push('}');
     out
+}
+
+/// Appends `value` in decimal, byte for byte as its `Display` renders it,
+/// without building a `String` per word.
+fn push_i16(out: &mut String, value: i16) {
+    let mut digits = [0u8; 5];
+    let mut rest = value.unsigned_abs();
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if value < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 /// Renders the scheduler counters as the wire JSON. The `tenants`
@@ -714,6 +734,21 @@ mod tests {
         );
         assert!(Json::parse("[1,2,]").is_err());
         assert!(Json::parse("{\"a\":1} trailing").is_err());
+    }
+
+    #[test]
+    fn status_json_renders_output_words_at_the_i16_extremes() {
+        use systolic_ring_core::Stats;
+        use systolic_ring_harness::job::JobOutput;
+        let status = JobStatus::Done(JobOutcome::Completed(JobOutput {
+            outputs: vec![vec![i16::MIN, -1, 0, 1, i16::MAX], vec![], vec![-10, 100]],
+            cycles: 42,
+            stats: Stats::default(),
+        }));
+        assert_eq!(
+            status_json(9, &status),
+            r#"{"ticket":9,"status":"completed","cycles":42,"outputs":[[-32768,-1,0,1,32767],[],[-10,100]]}"#
+        );
     }
 
     #[test]
