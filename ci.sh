@@ -31,7 +31,7 @@ for src in programs/*.sr programs/*.sr.md; do
 done
 ./target/release/ringlint "$lintdir"/*.obj
 # The machine-readable mode must stay stable and report every object.
-./target/release/ringlint --json "$lintdir"/*.obj | grep -q '"version":2'
+./target/release/ringlint --json "$lintdir"/*.obj | grep -q '"version":3'
 cargo test -q --test lint_crosscheck shipped_corpus_lints_without_warnings
 
 echo "==> conformance gate (programs/ on slow+decoded+fused+aot, cross-tier bit-equality)"

@@ -11,7 +11,7 @@
 //! [`disassemble_code`] keeps the traditional addressed listing format
 //! for humans reading controller programs.
 
-use systolic_ring_isa::ctrl::CtrlInstr;
+use systolic_ring_isa::ctrl::{CtrlInstr, Exec};
 use systolic_ring_isa::dnode::{AluOp, MicroInstr, Operand};
 use systolic_ring_isa::object::{Object, Preload};
 use systolic_ring_isa::switch::{HostCapture, PortSource};
@@ -287,24 +287,14 @@ fn source_text(source: PortSource, switches: usize) -> Option<String> {
 /// branch offsets rewritten to the absolute targets the grammar takes.
 fn code_line(addr: usize, word: u32) -> Option<String> {
     let instr = CtrlInstr::decode(word).ok()?;
-    match instr {
-        CtrlInstr::Beq { ra, rb, offset }
-        | CtrlInstr::Bne { ra, rb, offset }
-        | CtrlInstr::Blt { ra, rb, offset }
-        | CtrlInstr::Bge { ra, rb, offset } => {
-            let target = addr as i64 + 1 + i64::from(offset);
-            if !(0..=i64::from(u16::MAX)).contains(&target) {
-                return None;
-            }
-            let mnemonic = match instr {
-                CtrlInstr::Beq { .. } => "beq",
-                CtrlInstr::Bne { .. } => "bne",
-                CtrlInstr::Blt { .. } => "blt",
-                _ => "bge",
-            };
-            Some(format!("{mnemonic} {ra}, {rb}, {target}"))
+    let text = instr.to_string();
+    match instr.exec(addr as u32, |_| None::<u32>) {
+        // `beq ra, rb, offset` becomes `beq ra, rb, target`.
+        Exec::Branch { target, .. } => {
+            let (operands, _offset) = text.rsplit_once(", ")?;
+            (target <= u32::from(u16::MAX)).then(|| format!("{operands}, {target}"))
         }
-        _ => Some(instr.to_string()),
+        _ => Some(text),
     }
 }
 

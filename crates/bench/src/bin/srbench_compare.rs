@@ -13,7 +13,7 @@
 //! through the comparator.
 //!
 //! Only wall-clock-free metrics are gated (simulated cycles, fused
-//! coverage, lane occupancy, deopts, pass verdicts); `mcyc_per_s` is
+//! coverage, lane occupancy, pass verdicts, scheduler counters); `mcyc_per_s` is
 //! informational. Any gated metric regressing by more than the
 //! tolerance (default 10%) fails with a stable `SR-B1xx` code; see
 //! `systolic_ring_bench::compare` for the code table and DESIGN.md §13

@@ -5,7 +5,7 @@
 //! against a *fresh* run of the same suite on `(workload, tier)` and
 //! applies the gating rules of the [record schema](crate::record): only
 //! wall-clock-free metrics are compared (simulated cycles, fused
-//! coverage, lane occupancy, deopt counts, pass verdicts — all
+//! coverage, lane occupancy, pass verdicts, scheduler counters — all
 //! deterministic for a given tree), `mcyc_per_s` is never compared, and
 //! any gated metric moving the wrong way by more than the tolerance
 //! (default [`DEFAULT_TOLERANCE`] = 10%) is a failure. Rationale for
@@ -78,7 +78,7 @@ impl Comparison {
 
 /// Where a gated metric is allowed to move.
 enum Direction {
-    /// Lower is better (cycles, deopts): an *increase* past tolerance
+    /// Lower is better (cycles): an *increase* past tolerance
     /// regresses.
     Lower,
     /// Higher is better (coverage, occupancy): a *decrease* past
@@ -179,19 +179,6 @@ fn compare_record(
             code: "SR-B103",
             message: format!("{context}: lane occupancy disappeared from the fresh run"),
         });
-    }
-    if let (Some(base), Some(new)) = (baseline.deopts, fresh.deopts) {
-        // An integer count: from a zero baseline *any* deopt exceeds the
-        // relative tolerance, which is exactly the intent.
-        gate_metric(
-            out,
-            &context,
-            "deopts",
-            base as f64,
-            new as f64,
-            tolerance,
-            Direction::Lower,
-        );
     }
     for (metric, base, new) in [
         ("preemptions", baseline.preemptions, fresh.preemptions),
@@ -353,21 +340,6 @@ mod tests {
         );
         assert_eq!(cmp.failures.len(), 2, "{:?}", cmp.failures);
         assert!(cmp.failures.iter().all(|f| f.code == "SR-B103"));
-    }
-
-    #[test]
-    fn any_deopt_from_a_zero_baseline_fails() {
-        let mut base_rec = record("w", "fused", 1000);
-        base_rec.deopts = Some(0);
-        let mut fresh_rec = base_rec.clone();
-        fresh_rec.deopts = Some(1);
-        let cmp = compare_files(
-            &suite(vec![base_rec]),
-            &suite(vec![fresh_rec]),
-            DEFAULT_TOLERANCE,
-        );
-        assert_eq!(cmp.failures[0].code, "SR-B103");
-        assert!(cmp.failures[0].message.contains("deopts"));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! (the conformance matrix) and read back by `srbench-compare` (the CI
 //! regression gate) and `report -- experiments-md` (the generated doc
 //! tables). Like the rest of the workspace it is std-only: the
-//! serializer and parser below are hand-rolled over the small JSON
-//! subset the format needs.
+//! serializer below is hand-rolled, and the parser is the service
+//! protocol's [`Json`] reader.
 //!
 //! # File layout
 //!
@@ -22,7 +22,7 @@
 //!     {"workload": "table1_motion", "geometry": "Ring-16 (4x4)",
 //!      "tier": "fused", "cycles": 1113, "mcyc_per_s": 3.34,
 //!      "fused_coverage": 0.5796, "lane_occupancy": 1.0,
-//!      "deopts": 0, "pass": null}
+//!      "pass": null}
 //!   ]
 //! }
 //! ```
@@ -42,7 +42,6 @@
 //! | `mcyc_per_s` | number \| null | simulated Mcycles per wall-clock second from a representative run | **no** — wall-clock, machine-dependent |
 //! | `fused_coverage` | number \| null | `fused_cycles / cycles`, `null` off the fused tier | yes: >10% decrease fails |
 //! | `lane_occupancy` | number \| null | `fused_lane_occupancy / fused_cycles`, `null` when nothing fused | yes: >10% decrease fails |
-//! | `deopts` | integer \| null | fused-engine deoptimizations | yes: any increase beyond 10% (so any, from a zero baseline) fails |
 //! | `pass` | bool \| null | self-check verdict (conformance rows) | yes: `true` → `false` fails |
 //! | `jobs_per_s` | number \| null | end-to-end jobs per wall-clock second (service rows) | **no** — wall-clock, machine-dependent |
 //! | `p50_ms` | number \| null | median client-observed job latency, milliseconds | **no** — wall-clock, machine-dependent |
@@ -51,7 +50,7 @@
 //! | `rejected` | integer \| null | admission rejections at a fixed offered load (scripted) | yes: any shift beyond 10% either way fails |
 //!
 //! Wall-clock-free metrics (`cycles`, `fused_coverage`,
-//! `lane_occupancy`, `deopts`, `pass`, `preemptions`, `rejected`) are
+//! `lane_occupancy`, `pass`, `preemptions`, `rejected`) are
 //! deterministic for a given tree, which is what makes the checked-in
 //! baselines comparable in CI; `mcyc_per_s`, `jobs_per_s`, `p50_ms` and
 //! `p99_ms` are recorded so the generated EXPERIMENTS.md tables have
@@ -69,11 +68,12 @@
 //! was the ad-hoc `systolic-ring-conformance-v1` format this schema
 //! replaced, and is rejected with `SR-B002`).
 //!
-//! * **No bump — additive change.** Adding a new field (parsers ignore
-//!   unknown keys), adding a new suite file, or adding records/tiers to
-//!   an existing suite.
-//! * **Bump — breaking change.** Removing or renaming a field, changing
-//!   a field's type or units, or changing the meaning of an existing
+//! * **No bump — compatible change.** Adding a new field (parsers ignore
+//!   unknown keys), dropping an optional one (parsers read a missing
+//!   optional field as `None`), adding a new suite file, or adding
+//!   records/tiers to an existing suite.
+//! * **Bump — breaking change.** Removing or renaming a required field,
+//!   changing a field's type or units, or changing the meaning of an existing
 //!   metric (e.g. what counts as a fused cycle). After a bump the
 //!   comparator rejects older files with `SR-B003`; regenerate every
 //!   checked-in `BENCH_*.json` in the same commit that bumps
@@ -88,6 +88,9 @@
 //! [`crate::compare`].
 
 use std::fmt;
+
+use systolic_ring_server::protocol::json_string;
+use systolic_ring_server::Json;
 
 use systolic_ring_harness::conformance::ConformanceReport;
 use systolic_ring_isa::RingGeometry;
@@ -120,8 +123,6 @@ pub struct BenchRecord {
     pub fused_coverage: Option<f64>,
     /// Mean lanes per fused cycle; `None` when nothing fused.
     pub lane_occupancy: Option<f64>,
-    /// Fused-engine deoptimizations; `None` where not applicable.
-    pub deopts: Option<u64>,
     /// Self-check verdict (conformance and batch rows); `None` where the
     /// workload carries no embedded expectation.
     pub pass: Option<bool>,
@@ -190,35 +191,11 @@ pub fn geometry_label(geometry: RingGeometry) -> String {
     )
 }
 
-/// Escapes a string for JSON emission.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Formats an optional float at the schema's fixed 4-decimal precision
 /// (fixed so that emit → parse → emit is byte-stable).
 fn opt_f64(v: Option<f64>) -> String {
     match v {
         Some(v) => format!("{v:.4}"),
-        None => "null".into(),
-    }
-}
-
-fn opt_u64(v: Option<u64>) -> String {
-    match v {
-        Some(v) => v.to_string(),
         None => "null".into(),
     }
 }
@@ -232,23 +209,22 @@ fn opt_bool(v: Option<bool>) -> String {
 
 impl BenchRecord {
     /// Emits the record as a single JSON object line (no trailing
-    /// newline). The original nine fields are always present, `null`
+    /// newline). The original eight fields are always present, `null`
     /// when unmeasured, so the file documents its own shape; the
     /// service fields are omitted entirely when `None` so pre-service
     /// suites keep emitting byte-identical files.
     fn to_json_line(&self) -> String {
         let mut line = format!(
-            "{{\"workload\": \"{}\", \"geometry\": \"{}\", \"tier\": \"{}\", \
+            "{{\"workload\": {}, \"geometry\": {}, \"tier\": {}, \
              \"cycles\": {}, \"mcyc_per_s\": {}, \"fused_coverage\": {}, \
-             \"lane_occupancy\": {}, \"deopts\": {}, \"pass\": {}",
-            escape(&self.workload),
-            escape(&self.geometry),
-            escape(&self.tier),
+             \"lane_occupancy\": {}, \"pass\": {}",
+            json_string(&self.workload),
+            json_string(&self.geometry),
+            json_string(&self.tier),
             self.cycles,
             opt_f64(self.mcyc_per_s),
             opt_f64(self.fused_coverage),
             opt_f64(self.lane_occupancy),
-            opt_u64(self.deopts),
             opt_bool(self.pass),
         );
         if let Some(v) = self.jobs_per_s {
@@ -285,11 +261,11 @@ impl BenchFile {
             .map(|r| format!("    {}", r.to_json_line()))
             .collect();
         format!(
-            "{{\n  \"schema\": \"{}\",\n  \"version\": {},\n  \"suite\": \"{}\",\n  \
+            "{{\n  \"schema\": \"{}\",\n  \"version\": {},\n  \"suite\": {},\n  \
              \"records\": [\n{}\n  ]\n}}\n",
             SCHEMA,
             VERSION,
-            escape(&self.suite),
+            json_string(&self.suite),
             rows.join(",\n")
         )
     }
@@ -299,35 +275,37 @@ impl BenchFile {
     /// versions (`SR-B003`) and missing/ill-typed fields (`SR-B004`).
     /// Unknown keys are ignored (the additive-change rule).
     pub fn parse(text: &str) -> Result<BenchFile, RecordError> {
-        let value = json::parse(text).map_err(|e| RecordError::new("SR-B001", e))?;
-        let top = value
-            .as_object()
-            .ok_or_else(|| RecordError::new("SR-B004", "top level is not an object"))?;
-        let schema = get_str(top, "schema")?;
+        let top = Json::parse(text).map_err(|e| RecordError::new("SR-B001", e))?;
+        if !matches!(top, Json::Obj(_)) {
+            return Err(RecordError::new("SR-B004", "top level is not an object"));
+        }
+        let schema = get_str(&top, "schema")?;
         if schema != SCHEMA {
             return Err(RecordError::new(
                 "SR-B002",
                 format!("schema is \"{schema}\", expected \"{SCHEMA}\" (legacy v1 files must be regenerated)"),
             ));
         }
-        let version = get_u64(top, "version")?;
+        let version = get_u64(&top, "version")?;
         if version != VERSION {
             return Err(RecordError::new(
                 "SR-B003",
                 format!("unsupported schema version {version}, this build reads version {VERSION} — regenerate the baseline"),
             ));
         }
-        let suite = get_str(top, "suite")?.to_owned();
-        let records_value = find(top, "records")
+        let suite = get_str(&top, "suite")?.to_owned();
+        let records_value = top
+            .get("records")
             .ok_or_else(|| RecordError::new("SR-B004", "missing field `records`"))?;
         let rows = records_value
-            .as_array()
+            .as_arr()
             .ok_or_else(|| RecordError::new("SR-B004", "`records` is not an array"))?;
         let mut records = Vec::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            let obj = row.as_object().ok_or_else(|| {
-                RecordError::new("SR-B004", format!("record {i} is not an object"))
-            })?;
+        for (i, obj) in rows.iter().enumerate() {
+            if !matches!(obj, Json::Obj(_)) {
+                let message = format!("record {i} is not an object");
+                return Err(RecordError::new("SR-B004", message));
+            }
             records.push(BenchRecord {
                 workload: get_str(obj, "workload")?.to_owned(),
                 geometry: get_str(obj, "geometry")?.to_owned(),
@@ -336,7 +314,6 @@ impl BenchFile {
                 mcyc_per_s: get_opt_f64(obj, "mcyc_per_s")?,
                 fused_coverage: get_opt_f64(obj, "fused_coverage")?,
                 lane_occupancy: get_opt_f64(obj, "lane_occupancy")?,
-                deopts: get_opt_u64(obj, "deopts")?,
                 pass: get_opt_bool(obj, "pass")?,
                 jobs_per_s: get_opt_f64(obj, "jobs_per_s")?,
                 p50_ms: get_opt_f64(obj, "p50_ms")?,
@@ -381,25 +358,21 @@ pub fn conformance_file(report: &ConformanceReport) -> BenchFile {
     }
 }
 
-fn find<'a>(obj: &'a [(String, json::Value)], key: &str) -> Option<&'a json::Value> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_str<'a>(obj: &'a [(String, json::Value)], key: &str) -> Result<&'a str, RecordError> {
-    find(obj, key)
-        .and_then(json::Value::as_str)
+fn get_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, RecordError> {
+    obj.get(key)
+        .and_then(Json::as_str)
         .ok_or_else(|| RecordError::new("SR-B004", format!("missing or non-string field `{key}`")))
 }
 
-fn get_u64(obj: &[(String, json::Value)], key: &str) -> Result<u64, RecordError> {
-    find(obj, key)
-        .and_then(json::Value::as_u64)
+fn get_u64(obj: &Json, key: &str) -> Result<u64, RecordError> {
+    obj.get(key)
+        .and_then(Json::as_u64)
         .ok_or_else(|| RecordError::new("SR-B004", format!("missing or non-integer field `{key}`")))
 }
 
-fn get_opt_f64(obj: &[(String, json::Value)], key: &str) -> Result<Option<f64>, RecordError> {
-    match find(obj, key) {
-        None | Some(json::Value::Null) => Ok(None),
+fn get_opt_f64(obj: &Json, key: &str) -> Result<Option<f64>, RecordError> {
+    match obj.get(key) {
+        None | Some(Json::Null) => Ok(None),
         Some(v) => v
             .as_f64()
             .map(Some)
@@ -407,9 +380,9 @@ fn get_opt_f64(obj: &[(String, json::Value)], key: &str) -> Result<Option<f64>, 
     }
 }
 
-fn get_opt_u64(obj: &[(String, json::Value)], key: &str) -> Result<Option<u64>, RecordError> {
-    match find(obj, key) {
-        None | Some(json::Value::Null) => Ok(None),
+fn get_opt_u64(obj: &Json, key: &str) -> Result<Option<u64>, RecordError> {
+    match obj.get(key) {
+        None | Some(Json::Null) => Ok(None),
         Some(v) => v
             .as_u64()
             .map(Some)
@@ -417,266 +390,14 @@ fn get_opt_u64(obj: &[(String, json::Value)], key: &str) -> Result<Option<u64>, 
     }
 }
 
-fn get_opt_bool(obj: &[(String, json::Value)], key: &str) -> Result<Option<bool>, RecordError> {
-    match find(obj, key) {
-        None | Some(json::Value::Null) => Ok(None),
-        Some(json::Value::Bool(b)) => Ok(Some(*b)),
+fn get_opt_bool(obj: &Json, key: &str) -> Result<Option<bool>, RecordError> {
+    match obj.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(Json::Bool(b)) => Ok(Some(*b)),
         Some(_) => Err(RecordError::new(
             "SR-B004",
             format!("field `{key}` is not a boolean"),
         )),
-    }
-}
-
-/// A minimal recursive-descent JSON parser over the subset the record
-/// format emits (objects, arrays, strings with escapes, numbers,
-/// booleans, `null`). Std-only by design — see DESIGN.md §5.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any JSON number (parsed as `f64`).
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, in source order (duplicate keys keep the first).
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(fields) => Some(fields),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                    Some(*n as u64)
-                }
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(value)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected `{}` at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') => self.literal("true", Value::Bool(true)),
-                Some(b'f') => self.literal("false", Value::Bool(false)),
-                Some(b'n') => self.literal("null", Value::Null),
-                Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-                Some(b) => Err(format!("unexpected `{}` at byte {}", b as char, self.pos)),
-                None => Err("unexpected end of input".into()),
-            }
-        }
-
-        fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(value)
-            } else {
-                Err(format!("bad literal at byte {}", self.pos))
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| format!("bad number at byte {start}"))?;
-            text.parse::<f64>()
-                .map(Value::Num)
-                .map_err(|_| format!("bad number `{text}` at byte {start}"))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.peek() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'b') => out.push('\u{8}'),
-                            Some(b'f') => out.push('\u{c}'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let hex = std::str::from_utf8(hex)
-                                    .map_err(|_| "bad \\u escape".to_owned())?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| format!("bad code point {code}"))?,
-                                );
-                                self.pos += 4;
-                            }
-                            other => {
-                                return Err(format!("bad escape {other:?}"));
-                            }
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 character (the input is a &str,
-                        // so boundaries are valid).
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| "invalid UTF-8".to_owned())?;
-                        let c = rest.chars().next().unwrap();
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut fields: Vec<(String, Value)> = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                let value = self.value()?;
-                if !fields.iter().any(|(k, _)| *k == key) {
-                    fields.push((key, value));
-                }
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-                }
-            }
-        }
     }
 }
 
@@ -704,7 +425,6 @@ mod tests {
                     mcyc_per_s: Some(3.3391),
                     fused_coverage: Some(0.5796),
                     lane_occupancy: Some(1.0),
-                    deopts: Some(0),
                     pass: Some(true),
                     ..BenchRecord::default()
                 },

@@ -17,7 +17,7 @@
 //! producer.)
 //!
 //! Every suite runs each workload once to collect the wall-clock-free
-//! metrics (simulated cycles, fused coverage, lane occupancy, deopts —
+//! metrics (simulated cycles, fused coverage, lane occupancy —
 //! deterministic for a given tree) and, when a [`WallClock`] is given,
 //! re-times it to fill the informational `mcyc_per_s` column. The
 //! comparator never looks at `mcyc_per_s`, so a fresh gate run can skip
@@ -109,7 +109,6 @@ fn tier_record(
         mcyc_per_s: median_secs.map(|s| cycles as f64 / s / 1e6),
         fused_coverage: coverage,
         lane_occupancy: occupancy,
-        deopts: compiled_tier.then_some(stats.fused_deopts),
         ..BenchRecord::default()
     }
 }
@@ -256,7 +255,6 @@ fn batch_record(
         lane_occupancy: fused_on.then(|| {
             summary.merged.fused_lane_occupancy as f64 / summary.merged.fused_cycles as f64
         }),
-        deopts: Some(summary.merged.fused_deopts),
         pass: Some(pass && summary.completed == summary.jobs),
         ..BenchRecord::default()
     }
@@ -347,7 +345,6 @@ pub fn batch_scaling(wall: Option<WallClock>) -> BenchFile {
             serial_summary.merged.fused_lane_occupancy as f64
                 / serial_summary.merged.fused_cycles as f64
         }),
-        deopts: Some(serial_summary.merged.fused_deopts),
         pass: Some(serial_summary.completed == serial_summary.jobs),
         ..BenchRecord::default()
     });
@@ -490,8 +487,8 @@ pub fn experiments_md(dir: &Path) -> Result<String, String> {
     out.push_str("<!-- begin generated table: A10 (report -- experiments-md) -->\n");
     out.push_str(
         "| workload (fused vs decoded) | simulated cycles | fused Mcyc/s | decoded Mcyc/s | \
-         speedup | coverage | lanes | deopts |\n\
-         |---|---|---|---|---|---|---|---|\n",
+         speedup | coverage | lanes |\n\
+         |---|---|---|---|---|---|---|\n",
     );
     for file in [&motion, &wavelet_f] {
         for record in &file.records {
@@ -500,7 +497,7 @@ pub fn experiments_md(dir: &Path) -> Result<String, String> {
             }
             let decoded = file.find(&record.workload, "decoded");
             out.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} | {} | {} |\n",
+                "| {} | {} | {} | {} | {} | {} | {} |\n",
                 workload_label(&record.workload),
                 fmt_cycles(record.cycles),
                 mcyc(record.mcyc_per_s),
@@ -508,14 +505,13 @@ pub fn experiments_md(dir: &Path) -> Result<String, String> {
                 speedup(record.mcyc_per_s, decoded.and_then(|d| d.mcyc_per_s)),
                 coverage(record.fused_coverage),
                 occupancy(record.lane_occupancy),
-                record.deopts.map_or("—".into(), |d| d.to_string()),
             ));
         }
     }
     if let Some(lane_fused) = fused_f.find("batch32_fir3", "lane_fused") {
         let decoded = fused_f.find("batch32_fir3", "decoded");
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} |\n",
+            "| {} | {} | {} | {} | {} | {} | {} |\n",
             workload_label(&lane_fused.workload),
             fmt_cycles(lane_fused.cycles),
             mcyc(lane_fused.mcyc_per_s),
@@ -523,7 +519,6 @@ pub fn experiments_md(dir: &Path) -> Result<String, String> {
             speedup(lane_fused.mcyc_per_s, decoded.and_then(|d| d.mcyc_per_s)),
             coverage(lane_fused.fused_coverage),
             occupancy(lane_fused.lane_occupancy),
-            lane_fused.deopts.map_or("—".into(), |d| d.to_string()),
         ));
     }
     out.push_str(&format!(
@@ -599,8 +594,8 @@ pub fn experiments_md(dir: &Path) -> Result<String, String> {
     out.push_str("<!-- begin generated table: A13 (report -- experiments-md) -->\n");
     out.push_str(
         "| workload (aot tier) | simulated cycles | aot Mcyc/s | decoded Mcyc/s | \
-         vs decoded | fused Mcyc/s | vs fused | compiled coverage | deopts |\n\
-         |---|---|---|---|---|---|---|---|---|\n",
+         vs decoded | fused Mcyc/s | vs fused | compiled coverage |\n\
+         |---|---|---|---|---|---|---|---|\n",
     );
     let fused_label = |workload: &str| match workload {
         "batch32_fir3" => "fused_serial",
@@ -618,7 +613,7 @@ pub fn experiments_md(dir: &Path) -> Result<String, String> {
                 other => workload_label(other),
             };
             out.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
+                "| {} | {} | {} | {} | {} | {} | {} | {} |\n",
                 label,
                 fmt_cycles(record.cycles),
                 mcyc(record.mcyc_per_s),
@@ -627,7 +622,6 @@ pub fn experiments_md(dir: &Path) -> Result<String, String> {
                 mcyc(fused.and_then(|d| d.mcyc_per_s)),
                 speedup(record.mcyc_per_s, fused.and_then(|d| d.mcyc_per_s)),
                 coverage(record.fused_coverage),
-                record.deopts.map_or("—".into(), |d| d.to_string()),
             ));
         }
     }
@@ -661,7 +655,6 @@ mod tests {
         assert!(a.records.iter().all(|r| r.mcyc_per_s.is_none()));
         let fused = a.find("table1_motion", "fused").unwrap();
         assert!(fused.fused_coverage.unwrap() > 0.0);
-        assert_eq!(fused.deopts, Some(0));
         // The aot column runs exactly what the fused tier runs; only its
         // counters differ.
         let aot = a.find("table1_motion", "aot").unwrap();

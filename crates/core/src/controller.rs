@@ -4,7 +4,9 @@
 //! of [`systolic_ring_isa::ctrl`]. It owns its program and data memories
 //! (the paper's controller "has its own program memory"), a 16-bit
 //! configuration-immediate register `CIR`, and a write-target context
-//! register `WCTX`.
+//! register `WCTX`. Its arithmetic, branches and data addresses are the
+//! ISA's own executable definition, `CtrlInstr::exec`, which ringlint's
+//! schedule walk evaluates over unknown values too.
 //!
 //! The controller never touches fabric state directly: each cycle it emits
 //! at most one [`CtrlEffect`] that the machine validates and commits at the
@@ -21,7 +23,9 @@
 //! (`Controller::burst_safe`): those that cannot fault and touch neither
 //! the configuration nor a host FIFO.
 
-use systolic_ring_isa::ctrl::{CReg, CtrlInstr, DecodeCtrlError};
+use systolic_ring_isa::ctrl::{
+    micro_word, split_port, split_slot, CReg, CtrlInstr, DecodeCtrlError, Exec,
+};
 use systolic_ring_isa::Word16;
 
 use crate::error::ConfigError;
@@ -361,12 +365,13 @@ impl Controller {
             return true;
         }
         match self.program.get(self.pc as usize) {
-            Some(Ok(Lw { ra, imm, .. } | Sw { ra, imm, .. })) => {
-                (self.regs[ra.index()].wrapping_add(*imm as i32 as u32) as usize)
-                    < self.dmem_capacity
-            }
             Some(Ok(Ctx { ctx })) => usize::from(*ctx) < contexts,
-            Some(Ok(instr)) => !touches_fabric(instr),
+            Some(Ok(instr)) => match instr.exec(self.pc, |r| self.regs[r.index()]) {
+                Exec::Load { addr, .. } | Exec::Store { addr, .. } => {
+                    (addr as usize) < self.dmem_capacity
+                }
+                _ => !touches_fabric(instr),
+            },
             Some(Err(_)) | None => false,
         }
     }
@@ -451,75 +456,13 @@ impl Controller {
         let r = |reg: CReg| self.regs[reg.index()];
 
         match instr {
-            Nop => {}
-            Add { rd, ra, rb } => self.write_reg(rd, r(ra).wrapping_add(r(rb))),
-            Sub { rd, ra, rb } => self.write_reg(rd, r(ra).wrapping_sub(r(rb))),
-            And { rd, ra, rb } => self.write_reg(rd, r(ra) & r(rb)),
-            Or { rd, ra, rb } => self.write_reg(rd, r(ra) | r(rb)),
-            Xor { rd, ra, rb } => self.write_reg(rd, r(ra) ^ r(rb)),
-            Sll { rd, ra, rb } => self.write_reg(rd, r(ra) << (r(rb) & 31)),
-            Srl { rd, ra, rb } => self.write_reg(rd, r(ra) >> (r(rb) & 31)),
-            Sra { rd, ra, rb } => self.write_reg(rd, ((r(ra) as i32) >> (r(rb) & 31)) as u32),
-            Slt { rd, ra, rb } => self.write_reg(rd, ((r(ra) as i32) < (r(rb) as i32)) as u32),
-            Sltu { rd, ra, rb } => self.write_reg(rd, (r(ra) < r(rb)) as u32),
-            Mul { rd, ra, rb } => self.write_reg(rd, r(ra).wrapping_mul(r(rb))),
-            Addi { rd, ra, imm } => self.write_reg(rd, r(ra).wrapping_add(imm as i32 as u32)),
-            Andi { rd, ra, imm } => self.write_reg(rd, r(ra) & imm as u32),
-            Ori { rd, ra, imm } => self.write_reg(rd, r(ra) | imm as u32),
-            Xori { rd, ra, imm } => self.write_reg(rd, r(ra) ^ imm as u32),
-            Slti { rd, ra, imm } => self.write_reg(rd, ((r(ra) as i32) < imm as i32) as u32),
-            Lui { rd, imm } => self.write_reg(rd, (imm as u32) << 16),
-            Lw { rd, ra, imm } => {
-                let addr = r(ra).wrapping_add(imm as i32 as u32);
-                let value = self
-                    .dmem(addr as usize)
-                    .ok_or(CtrlFault::DmemOutOfRange { addr })?;
-                self.write_reg(rd, value);
-            }
-            Sw { rs, ra, imm } => {
-                let addr = r(ra).wrapping_add(imm as i32 as u32);
-                let index = addr as usize;
-                if index >= self.dmem_capacity {
-                    return Err(CtrlFault::DmemOutOfRange { addr });
-                }
-                if index >= self.dmem.len() {
-                    self.dmem.resize(index + 1, 0);
-                }
-                self.dmem[index] = r(rs);
-            }
-            Beq { ra, rb, offset } => {
-                if r(ra) == r(rb) {
-                    next_pc = branch_target(pc, offset);
-                }
-            }
-            Bne { ra, rb, offset } => {
-                if r(ra) != r(rb) {
-                    next_pc = branch_target(pc, offset);
-                }
-            }
-            Blt { ra, rb, offset } => {
-                if (r(ra) as i32) < (r(rb) as i32) {
-                    next_pc = branch_target(pc, offset);
-                }
-            }
-            Bge { ra, rb, offset } => {
-                if (r(ra) as i32) >= (r(rb) as i32) {
-                    next_pc = branch_target(pc, offset);
-                }
-            }
-            J { target } => next_pc = target as u32,
-            Jal { target } => {
-                self.regs[15] = pc.wrapping_add(1);
-                next_pc = target as u32;
-            }
-            Jr { ra } => next_pc = r(ra),
             Cimm { imm } => self.cir = imm,
             Wctx { ctx } => self.wctx = ctx,
             Wdn { rs, dnode } => {
                 out.effect = Some(CtrlEffect::WriteDnode {
                     ctx: self.wctx as usize,
                     dnode: dnode as usize,
-                    word: r(rs) as u64 | (self.cir as u64) << 32,
+                    word: micro_word(r(rs), self.cir),
                 })
             }
             Wsw { rs, port } => {
@@ -530,10 +473,11 @@ impl Controller {
                 })
             }
             Who { rs, switch } => {
+                let (switch, port) = split_port(switch);
                 out.effect = Some(CtrlEffect::WriteCapture {
                     ctx: self.wctx as usize,
-                    switch: (switch >> 8) as usize,
-                    port: (switch & 0xff) as usize,
+                    switch,
+                    port,
                     word: r(rs),
                 })
             }
@@ -544,10 +488,11 @@ impl Controller {
                 })
             }
             Wloc { rs, packed } => {
+                let (dnode, slot) = split_slot(packed);
                 out.effect = Some(CtrlEffect::WriteLocalSlot {
-                    dnode: (packed >> 3) as usize,
-                    slot: (packed & 7) as usize,
-                    word: r(rs) as u64 | (self.cir as u64) << 32,
+                    dnode,
+                    slot,
+                    word: micro_word(r(rs), self.cir),
                 })
             }
             Wlim { rs, dnode } => {
@@ -563,17 +508,16 @@ impl Controller {
                 self.write_reg(rd, value.bits() as u32);
             }
             Hpush { rs, switch } => {
+                let (switch, port) = split_port(switch);
                 out.effect = Some(CtrlEffect::HostPush {
-                    switch: (switch >> 8) as usize,
-                    port: (switch & 0xff) as usize,
+                    switch,
+                    port,
                     word: Word16::new(r(rs) as u16),
                 })
             }
             Hpop { rd, switch } => {
-                match ports
-                    .hpop((switch >> 8) as usize, (switch & 0xff) as usize)
-                    .map_err(CtrlFault::BadPort)?
-                {
+                let (switch, port) = split_port(switch);
+                match ports.hpop(switch, port).map_err(CtrlFault::BadPort)? {
                     Some(word) => self.write_reg(rd, word.bits() as u32),
                     None => {
                         // Stall: retry the same instruction next cycle.
@@ -591,16 +535,43 @@ impl Controller {
                 out.retired = true;
                 return Ok(out);
             }
+            _ => match instr.exec(pc, r) {
+                Exec::Write { rd, value } => self.write_reg(rd, value),
+                Exec::Load { rd, addr } => {
+                    let value = self
+                        .dmem(addr as usize)
+                        .ok_or(CtrlFault::DmemOutOfRange { addr })?;
+                    self.write_reg(rd, value);
+                }
+                Exec::Store { value, addr } => {
+                    let index = addr as usize;
+                    if index >= self.dmem_capacity {
+                        return Err(CtrlFault::DmemOutOfRange { addr });
+                    }
+                    if index >= self.dmem.len() {
+                        self.dmem.resize(index + 1, 0);
+                    }
+                    self.dmem[index] = value;
+                }
+                Exec::Branch { taken, target } => {
+                    if taken != 0 {
+                        next_pc = target;
+                    }
+                }
+                Exec::Jump { target, link } => {
+                    if let Some(link) = link {
+                        self.write_reg(CReg::LINK, link);
+                    }
+                    next_pc = target;
+                }
+                Exec::Other => {}
+            },
         }
 
         self.pc = next_pc;
         out.retired = true;
         Ok(out)
     }
-}
-
-fn branch_target(pc: u32, offset: i16) -> u32 {
-    pc.wrapping_add(1).wrapping_add(offset as i32 as u32)
 }
 
 #[cfg(test)]

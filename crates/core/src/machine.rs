@@ -1046,12 +1046,19 @@ impl RingMachine {
         Ok(())
     }
 
-    /// One cycle of the predecoded-cache fast path.
+    /// One cycle of the predecoded-cache path: the production stepper for
+    /// every cycle the compiled tier refuses — fault-armed machines,
+    /// watchdog windows that are not quiet, lane groups outside quiet
+    /// windows, controller instructions that write configuration or touch
+    /// host FIFOs, bursts shorter than `MIN_BURST`, and
+    /// [`RingMachine::step`].
     ///
-    /// Structurally a mirror of [`RingMachine::step_decoded`] with the same
-    /// phase ordering and the per-cycle decode, allocation and idle-Dnode
-    /// work hoisted into [`DecodedPlan`]; every architectural effect and
-    /// statistic is reproduced exactly.
+    /// It keeps [`RingMachine::step_decoded`]'s phase ordering, with the
+    /// per-cycle decode, allocation and idle-Dnode work hoisted into
+    /// [`DecodedPlan`]; every architectural effect and statistic is
+    /// reproduced exactly. Both stay: `step_decoded` is the one oracle that
+    /// shares no code with `plan.rs` or `fused.rs`, and this path is about
+    /// 4x faster per cycle (DESIGN.md §16).
     fn step_cached(&mut self, plan: &mut DecodedPlan) -> Result<(), SimError> {
         let cycle = self.cycle;
 

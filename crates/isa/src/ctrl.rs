@@ -717,6 +717,184 @@ impl CtrlInstr {
         };
         Ok(instr)
     }
+
+    /// The register and control-flow semantics of this instruction
+    /// retiring at `pc`, reading registers through `reg` (which must read
+    /// `r0` as zero).
+    ///
+    /// This is the ISA's one executable definition of its arithmetic,
+    /// branch conditions, branch and link targets and data addresses: the
+    /// machine evaluates it in `u32`, static analysis in `Option<u32>`.
+    #[inline(always)]
+    pub fn exec<V: CtrlValue>(self, pc: u32, reg: impl Fn(CReg) -> V) -> Exec<V> {
+        use CtrlInstr::*;
+        fn slt(a: u32, b: u32) -> u32 {
+            u32::from((a as i32) < (b as i32))
+        }
+        let write = |rd, value| Exec::Write { rd, value };
+        let sext = |imm: i16| V::known(imm as i32 as u32);
+        let zext = |imm: u16| V::known(u32::from(imm));
+        let branch = |taken, offset: i16| Exec::Branch {
+            taken,
+            target: pc.wrapping_add(1).wrapping_add(offset as i32 as u32),
+        };
+        match self {
+            Add { rd, ra, rb } => write(rd, reg(ra).map2(reg(rb), u32::wrapping_add)),
+            Sub { rd, ra, rb } => write(rd, reg(ra).map2(reg(rb), u32::wrapping_sub)),
+            And { rd, ra, rb } => write(rd, reg(ra).map2(reg(rb), |a, b| a & b)),
+            Or { rd, ra, rb } => write(rd, reg(ra).map2(reg(rb), |a, b| a | b)),
+            Xor { rd, ra, rb } => write(rd, reg(ra).map2(reg(rb), |a, b| a ^ b)),
+            Sll { rd, ra, rb } => write(rd, reg(ra).map2(reg(rb), |a, b| a << (b & 31))),
+            Srl { rd, ra, rb } => write(rd, reg(ra).map2(reg(rb), |a, b| a >> (b & 31))),
+            Sra { rd, ra, rb } => write(
+                rd,
+                reg(ra).map2(reg(rb), |a, b| ((a as i32) >> (b & 31)) as u32),
+            ),
+            Slt { rd, ra, rb } => write(rd, reg(ra).map2(reg(rb), slt)),
+            Sltu { rd, ra, rb } => write(rd, reg(ra).map2(reg(rb), |a, b| u32::from(a < b))),
+            Mul { rd, ra, rb } => write(rd, reg(ra).map2(reg(rb), u32::wrapping_mul)),
+            Addi { rd, ra, imm } => write(rd, reg(ra).map2(sext(imm), u32::wrapping_add)),
+            Andi { rd, ra, imm } => write(rd, reg(ra).map2(zext(imm), |a, b| a & b)),
+            Ori { rd, ra, imm } => write(rd, reg(ra).map2(zext(imm), |a, b| a | b)),
+            Xori { rd, ra, imm } => write(rd, reg(ra).map2(zext(imm), |a, b| a ^ b)),
+            Slti { rd, ra, imm } => write(rd, reg(ra).map2(sext(imm), slt)),
+            Lui { rd, imm } => write(rd, V::known(u32::from(imm) << 16)),
+            Lw { rd, ra, imm } => Exec::Load {
+                rd,
+                addr: reg(ra).map2(sext(imm), u32::wrapping_add),
+            },
+            Sw { rs, ra, imm } => Exec::Store {
+                value: reg(rs),
+                addr: reg(ra).map2(sext(imm), u32::wrapping_add),
+            },
+            Beq { ra, rb, offset } => {
+                branch(reg(ra).map2(reg(rb), |a, b| u32::from(a == b)), offset)
+            }
+            Bne { ra, rb, offset } => {
+                branch(reg(ra).map2(reg(rb), |a, b| u32::from(a != b)), offset)
+            }
+            Blt { ra, rb, offset } => branch(reg(ra).map2(reg(rb), slt), offset),
+            Bge { ra, rb, offset } => branch(reg(ra).map2(reg(rb), |a, b| 1 - slt(a, b)), offset),
+            J { target } => Exec::Jump {
+                target: V::known(target.into()),
+                link: None,
+            },
+            Jal { target } => Exec::Jump {
+                target: V::known(target.into()),
+                link: Some(V::known(pc.wrapping_add(1))),
+            },
+            Jr { ra } => Exec::Jump {
+                target: reg(ra),
+                link: None,
+            },
+            _ => Exec::Other,
+        }
+    }
+}
+
+/// The `(switch, port)` named by the packed `switch << 8 | port` operand
+/// of `who`, `hpush` and `hpop`.
+#[inline]
+pub fn split_port(packed: u16) -> (usize, usize) {
+    (usize::from(packed >> 8), usize::from(packed & 0xff))
+}
+
+/// The `(dnode, slot)` named by the packed `dnode << 3 | slot` operand of
+/// `wloc`.
+#[inline]
+pub fn split_slot(packed: u16) -> (usize, usize) {
+    (usize::from(packed >> 3), usize::from(packed & 7))
+}
+
+/// The microinstruction word `wdn` and `wloc` write: the source register
+/// in bits 0..32 and `CIR` above it.
+#[inline]
+pub fn micro_word(rs: u32, cir: u16) -> u64 {
+    u64::from(rs) | u64::from(cir) << 32
+}
+
+/// A value domain [`CtrlInstr::exec`] evaluates in: `u32` on the machine;
+/// `Option<u32>` in static analysis, where `None` is a value the analysis
+/// cannot know and everything computed from it stays unknown.
+pub trait CtrlValue: Copy {
+    /// The constant `v`.
+    fn known(v: u32) -> Self;
+    /// `f(self, other)`, lifted into the domain.
+    fn map2(self, other: Self, f: impl FnOnce(u32, u32) -> u32) -> Self;
+}
+
+impl CtrlValue for u32 {
+    #[inline(always)]
+    fn known(v: u32) -> u32 {
+        v
+    }
+
+    #[inline(always)]
+    fn map2(self, other: u32, f: impl FnOnce(u32, u32) -> u32) -> u32 {
+        f(self, other)
+    }
+}
+
+impl CtrlValue for Option<u32> {
+    #[inline]
+    fn known(v: u32) -> Self {
+        Some(v)
+    }
+
+    #[inline]
+    fn map2(self, other: Self, f: impl FnOnce(u32, u32) -> u32) -> Self {
+        Some(f(self?, other?))
+    }
+}
+
+/// What [`CtrlInstr::exec`] says one instruction does to the registers,
+/// the data memory and the pc.
+///
+/// Configuration writes, bus and host traffic, `cimm`, `wctx`, `ctx`,
+/// `wait`, `halt` and `nop` are [`Exec::Other`]: they write no
+/// general-purpose register from arithmetic, and each consumer gives them
+/// their own meaning.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Exec<V> {
+    /// `rd = value`, then fall through (`add`…`mul`, the immediate forms,
+    /// `lui`).
+    Write {
+        /// Destination register.
+        rd: CReg,
+        /// Value written.
+        value: V,
+    },
+    /// `rd = dmem[addr]`, then fall through.
+    Load {
+        /// Destination register.
+        rd: CReg,
+        /// Word address.
+        addr: V,
+    },
+    /// `dmem[addr] = value`, then fall through.
+    Store {
+        /// Value stored.
+        value: V,
+        /// Word address.
+        addr: V,
+    },
+    /// Continue at `target` when `taken` is nonzero, else fall through.
+    Branch {
+        /// `1` when the branch condition holds, `0` when it does not.
+        taken: V,
+        /// Branch target (`pc + 1 + offset`).
+        target: u32,
+    },
+    /// Continue at `target` (`j`, `jal`, `jr`), first writing `link` to
+    /// the link register when it is present (`jal`).
+    Jump {
+        /// Jump target.
+        target: V,
+        /// Return address `pc + 1` written to `r15`.
+        link: Option<V>,
+    },
+    /// Any other instruction.
+    Other,
 }
 
 impl fmt::Display for CtrlInstr {
@@ -762,10 +940,12 @@ impl fmt::Display for CtrlInstr {
             Busw { rs } => write!(f, "busw {rs}"),
             Busr { rd } => write!(f, "busr {rd}"),
             Hpush { rs, switch } => {
-                write!(f, "hpush {rs}, {}, {}", switch >> 8, switch & 0xff)
+                let (s, p) = split_port(switch);
+                write!(f, "hpush {rs}, {s}, {p}")
             }
             Hpop { rd, switch } => {
-                write!(f, "hpop {rd}, {}, {}", switch >> 8, switch & 0xff)
+                let (s, p) = split_port(switch);
+                write!(f, "hpop {rd}, {s}, {p}")
             }
             Wait { cycles } => write!(f, "wait {cycles}"),
             Halt => write!(f, "halt"),
@@ -988,6 +1168,71 @@ mod tests {
             CtrlInstr::decode(1 << 16),
             Err(DecodeCtrlError::StrayBits(_))
         ));
+    }
+
+    /// The abstract domain agrees with the machine's on known values and
+    /// keeps anything computed from an unknown register unknown.
+    #[test]
+    fn exec_lifts_exactly_over_known_and_unknown_values() {
+        let regs: [u32; 16] = std::array::from_fn(|i| (i as u32).wrapping_mul(0x9e37_79b9));
+        let concrete = |r: CReg| regs[r.index()];
+        for instr in samples() {
+            let lift = |e: Exec<u32>| match e {
+                Exec::Write { rd, value } => Exec::Write {
+                    rd,
+                    value: Some(value),
+                },
+                Exec::Load { rd, addr } => Exec::Load {
+                    rd,
+                    addr: Some(addr),
+                },
+                Exec::Store { value, addr } => Exec::Store {
+                    value: Some(value),
+                    addr: Some(addr),
+                },
+                Exec::Branch { taken, target } => Exec::Branch {
+                    taken: Some(taken),
+                    target,
+                },
+                Exec::Jump { target, link } => Exec::Jump {
+                    target: Some(target),
+                    link: link.map(Some),
+                },
+                Exec::Other => Exec::Other,
+            };
+            let machine = instr.exec(40, concrete);
+            assert_eq!(
+                lift(machine),
+                instr.exec(40, |r| Some(concrete(r))),
+                "{instr}"
+            );
+            if let Exec::Write { value, .. } | Exec::Load { addr: value, .. } =
+                instr.exec(40, |_| None::<u32>)
+            {
+                let constant = matches!(instr, CtrlInstr::Lui { .. });
+                assert_eq!(value.is_some(), constant, "{instr}");
+            }
+        }
+        let beq = CtrlInstr::Beq {
+            ra: r(1),
+            rb: r(1),
+            offset: -3,
+        };
+        assert_eq!(
+            beq.exec(10, concrete),
+            Exec::Branch {
+                taken: 1,
+                target: 8
+            }
+        );
+        let jal = CtrlInstr::Jal { target: 7 };
+        assert_eq!(
+            jal.exec(10, concrete),
+            Exec::Jump {
+                target: 7,
+                link: Some(11)
+            }
+        );
     }
 
     #[test]

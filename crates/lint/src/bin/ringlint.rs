@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Prints every diagnostic (with its stable `RL-xxxx` code) and the
-//! fusibility verdict for each object. Warnings are **denied by
+//! proven halt bound for each object. Warnings are **denied by
 //! default** — the exit code is nonzero if any object fails to parse or
 //! carries findings at `warning` severity or above — matching `srasm
 //! --lint`, so the two tools agree on what "passes". `--allow-warnings`
@@ -13,7 +13,7 @@
 //! (`--deny-warnings` is accepted as a no-op for older scripts.)
 //!
 //! With `--json`, human output is replaced by one machine-readable JSON
-//! document on stdout: `{"version":2,"objects":[{"path":...,
+//! document on stdout: `{"version":3,"objects":[{"path":...,
 //! "verdict":"ok"|"fail","report":{...}}]}` with the per-object report
 //! shape pinned by `LintReport::to_json`. Unreadable files appear as
 //! `{"path":...,"verdict":"fail","error":...}` entries.
@@ -95,15 +95,18 @@ fn main() -> ExitCode {
             println!("{path}: {diag}");
             println!("{path}:   help: {}", diag.help);
         }
+        let bound = match report.proof.cycle_bound {
+            Some(cycle) => format!("halts by cycle {cycle}"),
+            None => "no halt bound".to_owned(),
+        };
         println!(
-            "ringlint: {path}: {} ({} finding(s); steady state: {})",
+            "ringlint: {path}: {} ({} finding(s); {bound})",
             if fail { "FAIL" } else { "ok" },
             report.diagnostics.len(),
-            report.fusibility,
         );
     }
     if json {
-        println!(r#"{{"version":2,"objects":[{}]}}"#, entries.join(","));
+        println!(r#"{{"version":3,"objects":[{}]}}"#, entries.join(","));
     }
     if failed {
         ExitCode::FAILURE

@@ -1,10 +1,11 @@
 //! Diagnostic types: what the linter reports and how it renders.
 //!
 //! Every finding is a [`Diagnostic`] with a stable grep-able code
-//! (`RL-Sxxx` structural, `RL-Dxxx` dataflow, `RL-Qxxx` sequencer,
-//! `RL-Fxxx` fusibility), a [`Severity`], a [`Site`] locating the fault in
-//! the object, a human message and a fixed help string. A lint run returns
-//! a [`LintReport`] bundling the diagnostics with the fusibility verdict.
+//! (`RL-Sxxx` structural, `RL-Dxxx` dataflow, `RL-Qxxx`/`RL-F002`
+//! sequencer, `RL-Txxx`/`RL-Hxxx`/`RL-Vxxx` verify), a [`Severity`], a
+//! [`Site`] locating the fault in the object, a human message and a fixed
+//! help string. A lint run returns a [`LintReport`] bundling the
+//! diagnostics with the proof manifest.
 
 use std::fmt;
 
@@ -112,51 +113,12 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Static steady-state classification of an object program.
-///
-/// The prediction is deliberately one-sided: `Fusible` is a *guarantee*
-/// (the core's compiled tier must record `fused_entries > 0` once the
-/// program is past `settle_cycles`), while `Unknown` claims nothing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Fusibility {
-    /// The controller provably halts; from `settle_cycles` on, the fabric
-    /// configuration can never change again, so a sufficiently long run
-    /// must enter the compiled tier.
-    Fusible {
-        /// Cycle by which the controller has provably halted (including
-        /// any in-flight context-select commit).
-        settle_cycles: u64,
-    },
-    /// No provable steady-state window; the program may still fuse
-    /// dynamically, the linter just cannot promise it.
-    Unknown {
-        /// Why the trace was abandoned.
-        reason: String,
-    },
-}
-
-impl fmt::Display for Fusibility {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Fusibility::Fusible { settle_cycles } => {
-                write!(
-                    f,
-                    "fusible (configuration settles by cycle {settle_cycles})"
-                )
-            }
-            Fusibility::Unknown { reason } => write!(f, "unknown ({reason})"),
-        }
-    }
-}
-
 /// The result of linting one [`Object`](systolic_ring_isa::object::Object).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LintReport {
     /// All findings, in pass order (structural, dataflow, sequencer,
-    /// fusibility).
+    /// verify).
     pub diagnostics: Vec<Diagnostic>,
-    /// Steady-state classification of the controller program.
-    pub fusibility: Fusibility,
     /// Proof manifest from the verify passes (`RL-Vxxx`/`RL-Hxxx`/
     /// `RL-Txxx`), bound to the object's byte hash. `srconform` checks
     /// its cycle bound against real halts; `RingMachine::attach_proof`

@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use crate::diag::{Fusibility, LintReport, Site};
+use crate::diag::{LintReport, Site};
 
 /// Escapes `s` for embedding in a JSON string literal.
 fn escape(s: &str) -> String {
@@ -57,17 +57,9 @@ fn site_json(site: Site) -> String {
 
 impl LintReport {
     /// Renders the report as one compact JSON object with a stable key
-    /// order (`clean`, `fusibility`, `proof`, `diagnostics`). Identical
-    /// reports render byte-identically.
+    /// order (`clean`, `proof`, `diagnostics`). Identical reports render
+    /// byte-identically.
     pub fn to_json(&self) -> String {
-        let fusibility = match &self.fusibility {
-            Fusibility::Fusible { settle_cycles } => {
-                format!(r#"{{"kind":"fusible","settle_cycles":{settle_cycles}}}"#)
-            }
-            Fusibility::Unknown { reason } => {
-                format!(r#"{{"kind":"unknown","reason":"{}"}}"#, escape(reason))
-            }
-        };
         let out_ranges: Vec<String> = self
             .proof
             .out_ranges
@@ -98,7 +90,7 @@ impl LintReport {
             })
             .collect();
         format!(
-            r#"{{"clean":{},"fusibility":{fusibility},"proof":{proof},"diagnostics":[{}]}}"#,
+            r#"{{"clean":{},"proof":{proof},"diagnostics":[{}]}}"#,
             self.is_clean(),
             diagnostics.join(",")
         )

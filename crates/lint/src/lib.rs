@@ -13,28 +13,27 @@
 //! 2. **Dataflow** (`RL-Dxxx`) — feedback-pipeline taps deeper than the
 //!    machine's pipeline, reads of registers and ports nothing ever
 //!    writes, and multiple same-cycle bus drivers.
-//! 3. **Sequencer** (`RL-Qxxx`) — local-mode slot/LIMIT bounds (at most 8
-//!    microinstructions per the paper), unreachable configuration
-//!    contexts, dead controller code, and reachable controller
-//!    instructions that are statically certain to fault.
-//! 4. **Fusibility** (`RL-Fxxx`) — a conservative proof that the
-//!    configuration settles, cross-checkable against the core's compiled
-//!    tier (see [`Fusibility`]).
-//! 5. **Verify** (`RL-Vxxx`/`RL-Hxxx`/`RL-Txxx`) — abstract
+//! 3. **Sequencer** (`RL-Qxxx`, `RL-F002`) — local-mode slot/LIMIT
+//!    bounds (at most 8 microinstructions per the paper), unreachable
+//!    configuration contexts, dead controller code, reachable controller
+//!    instructions that are statically certain to fault, and host pops
+//!    from ports nothing feeds.
+//! 4. **Verify** (`RL-Vxxx`/`RL-Hxxx`/`RL-Txxx`) — abstract
 //!    interpretation over the object: interval value-range analysis of
 //!    the Q-format datapath, reconfiguration-hazard detection across
-//!    context switches, and a forking symbolic walk proving termination
-//!    and a static cycle bound. Proven facts land in a
+//!    context switches, and a forking symbolic walk of the controller
+//!    program proving termination, a static cycle bound and the cycle
+//!    from which the configuration never changes. Proven facts land in a
 //!    [`ProofManifest`](systolic_ring_isa::proof::ProofManifest) (see
 //!    [`LintReport::proof`]) bound to the object's bytes.
 //!
 //! The severity contract is the point of the tool: an object whose report
 //! [`is_clean`](LintReport::is_clean) is *guaranteed* to load and to never
 //! raise the statically-preventable `SimError` classes (`PcOutOfRange`,
-//! `BadInstruction`, `BadConfigWrite`), and a [`Fusibility::Fusible`]
-//! verdict *guarantees* the fused engine engages on a long enough run.
-//! Neither claim holds in reverse — the linter stays silent rather than
-//! guessing.
+//! `BadInstruction`, `BadConfigWrite`), and a manifest that `halts`
+//! *guarantees* the controller halts by `cycle_bound` and the
+//! configuration never changes from `config_stable_from` on. Neither
+//! claim holds in reverse — the linter stays silent rather than guessing.
 //!
 //! ```
 //! use systolic_ring_isa::object::Object;
@@ -53,13 +52,12 @@
 
 mod dataflow;
 mod diag;
-mod fusibility;
 mod json;
 mod model;
 mod sequencer;
 mod verify;
 
-pub use diag::{Diagnostic, Fusibility, LintError, LintReport, Severity, Site};
+pub use diag::{Diagnostic, LintError, LintReport, Severity, Site};
 
 use systolic_ring_isa::expect::Expectations;
 use systolic_ring_isa::object::Object;
@@ -121,7 +119,6 @@ pub fn lint_object_expecting(
     let model = model::ConfigModel::build(object, limits, &mut diagnostics);
     dataflow::check(&model, limits, &mut diagnostics);
     let facts = sequencer::check(object, &model, limits, &mut diagnostics);
-    let fusibility = fusibility::classify(object, limits, &facts, &model, &mut diagnostics);
     let proof = verify::check(
         object,
         limits,
@@ -130,9 +127,5 @@ pub fn lint_object_expecting(
         expectations,
         &mut diagnostics,
     );
-    LintReport {
-        diagnostics,
-        fusibility,
-        proof,
-    }
+    LintReport { diagnostics, proof }
 }

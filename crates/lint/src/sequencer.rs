@@ -1,18 +1,20 @@
-//! Sequencer pass (`RL-Qxxx`): local-mode sequencer bounds, the
-//! controller's context-switch graph, and a static walk of the controller
-//! program itself.
+//! Sequencer pass (`RL-Qxxx`, plus `RL-F002`): local-mode sequencer
+//! bounds, the controller's context-switch graph, and a static walk of the
+//! controller program itself.
 //!
 //! The controller walk builds a conservative control-flow graph from
-//! address 0 — branches add both arms, absolute jumps add their target,
-//! `jr` is resolved against the link addresses of reachable `jal`s — and
-//! then checks every reachable instruction for statically certain faults:
-//! undecodable words, transfers outside the program, and configuration
-//! writes whose immediate operand is out of range for the declared
-//! geometry (all of which raise `SimError`s the moment they execute).
+//! address 0 — branches add both arms, absolute jumps add their target
+//! (both from the ISA's own `CtrlInstr::exec`), `jr` is resolved against
+//! the link addresses of reachable `jal`s — and then checks every
+//! reachable instruction for statically certain faults: undecodable
+//! words, transfers outside the program, and configuration writes whose
+//! immediate operand is out of range for the declared geometry (all of
+//! which raise `SimError`s the moment they execute). Last, a reachable
+//! host pop from a port nothing can ever feed is flagged (`RL-F002`).
 
 use std::collections::BTreeSet;
 
-use systolic_ring_isa::ctrl::{CReg, CtrlInstr};
+use systolic_ring_isa::ctrl::{split_port, split_slot, CReg, CtrlInstr, Exec};
 use systolic_ring_isa::dnode::LOCAL_SLOTS;
 use systolic_ring_isa::object::{Object, Preload};
 
@@ -50,6 +52,7 @@ pub(crate) fn check(
     let facts = walk_code(object, diags);
     check_static_operands(&facts, model, limits, diags);
     check_context_graph(model, &facts, diags);
+    check_host_pops(&facts, model, diags);
     facts
 }
 
@@ -121,11 +124,42 @@ fn check_local_sequencers(object: &Object, model: &ConfigModel, diags: &mut Vec<
     }
 }
 
+/// Reachability state of the control-flow walk.
+struct Cfg<'a> {
+    len: usize,
+    visited: Vec<bool>,
+    worklist: Vec<usize>,
+    diags: &'a mut Vec<Diagnostic>,
+    /// `true` once a transfer left the program or a word failed to decode.
+    errors: bool,
+}
+
+impl Cfg<'_> {
+    /// Marks `target` reachable from `from`, or diagnoses `RL-Q007` when
+    /// it leaves the program.
+    fn push(&mut self, from: usize, target: u32, what: &str) {
+        let len = self.len;
+        if target as usize >= len {
+            emit(
+                self.diags,
+                "RL-Q007",
+                Severity::Error,
+                Site::Code { addr: from },
+                format!("{what} leaves the {len}-word program (target {target})"),
+                "every reachable path must stay inside the program or end in `halt`",
+            );
+            self.errors = true;
+        } else if !self.visited[target as usize] {
+            self.visited[target as usize] = true;
+            self.worklist.push(target as usize);
+        }
+    }
+}
+
 /// Builds the reachability set and diagnoses `RL-Q005`/`RL-Q006`/`RL-Q007`.
 fn walk_code(object: &Object, diags: &mut Vec<Diagnostic>) -> CodeFacts {
     let len = object.code.len();
     let mut reachable: Vec<Option<CtrlInstr>> = vec![None; len];
-    let mut visited = vec![false; len];
     let mut selectable = BTreeSet::from([0usize]);
     if len == 0 {
         return CodeFacts {
@@ -134,96 +168,62 @@ fn walk_code(object: &Object, diags: &mut Vec<Diagnostic>) -> CodeFacts {
         };
     }
 
-    let mut worklist = vec![0usize];
-    let mut jal_links: BTreeSet<usize> = BTreeSet::new();
-    let mut jr_sites: Vec<usize> = Vec::new();
-    let mut transfer_errors = false;
-
-    let push = |worklist: &mut Vec<usize>,
-                visited: &mut Vec<bool>,
-                diags: &mut Vec<Diagnostic>,
-                from: usize,
-                target: u32,
-                what: &str,
-                errs: &mut bool| {
-        let t = target as usize;
-        if target as usize >= len {
-            emit(
-                diags,
-                "RL-Q007",
-                Severity::Error,
-                Site::Code { addr: from },
-                format!("{what} leaves the {len}-word program (target {target})"),
-                "every reachable path must stay inside the program or end in `halt`",
-            );
-            *errs = true;
-        } else if !visited[t] {
-            visited[t] = true;
-            worklist.push(t);
-        }
+    let mut cfg = Cfg {
+        len,
+        visited: vec![false; len],
+        worklist: vec![0],
+        diags,
+        errors: false,
     };
+    let mut jal_links: BTreeSet<u32> = BTreeSet::new();
+    let mut jr_sites: Vec<usize> = Vec::new();
 
-    visited[0] = true;
-    while let Some(addr) = worklist.pop() {
+    cfg.visited[0] = true;
+    while let Some(addr) = cfg.worklist.pop() {
         let word = object.code[addr];
         let instr = match CtrlInstr::decode(word) {
             Ok(instr) => instr,
             Err(e) => {
                 emit(
-                    diags,
+                    cfg.diags,
                     "RL-Q006",
                     Severity::Error,
                     Site::Code { addr },
                     format!("reachable word {word:#010x} is not a valid instruction: {e}"),
                     "the controller raises BadInstruction when it fetches this word",
                 );
-                transfer_errors = true;
+                cfg.errors = true;
                 continue;
             }
         };
         reachable[addr] = Some(instr);
         let fall = addr as u32 + 1;
-        match instr {
-            CtrlInstr::Halt => {}
-            CtrlInstr::J { target } => push(
-                &mut worklist,
-                &mut visited,
-                diags,
-                addr,
-                u32::from(target),
-                "jump",
-                &mut transfer_errors,
-            ),
-            CtrlInstr::Jal { target } => {
-                if jal_links.insert(fall as usize) {
-                    // A new link address: reconsider every `jr` seen so far.
-                    for &jr in &jr_sites {
-                        push(
-                            &mut worklist,
-                            &mut visited,
-                            diags,
-                            jr,
-                            fall,
-                            "return",
-                            &mut transfer_errors,
-                        );
+        // With every register unknown, `exec` yields exactly the static
+        // successors: both arms of a branch, the target of `j` or `jal`.
+        match instr.exec(addr as u32, |_| None) {
+            Exec::Branch { target, .. } => {
+                cfg.push(addr, target, "branch");
+                cfg.push(addr, fall, "fall-through");
+            }
+            Exec::Jump {
+                target: Some(target),
+                link,
+            } => {
+                if let Some(Some(link)) = link {
+                    if jal_links.insert(link) {
+                        // A new link address: reconsider every `jr` seen so far.
+                        for &jr in &jr_sites {
+                            cfg.push(jr, link, "return");
+                        }
                     }
                 }
-                push(
-                    &mut worklist,
-                    &mut visited,
-                    diags,
-                    addr,
-                    u32::from(target),
-                    "call",
-                    &mut transfer_errors,
-                );
+                cfg.push(addr, target, if link.is_some() { "call" } else { "jump" });
             }
-            CtrlInstr::Jr { .. } => {
+            Exec::Jump { target: None, .. } => {
                 jr_sites.push(addr);
                 if jal_links.is_empty() {
                     emit(
-                        diags,
+                        cfg.diags,
                         "RL-Q007",
                         Severity::Warning,
                         Site::Code { addr },
@@ -233,74 +233,28 @@ fn walk_code(object: &Object, diags: &mut Vec<Diagnostic>) -> CodeFacts {
                         "prefer `jal`/`jr` pairs so the linter can follow returns",
                     );
                 }
-                for link in jal_links.clone() {
-                    push(
-                        &mut worklist,
-                        &mut visited,
-                        diags,
-                        addr,
-                        link as u32,
-                        "return",
-                        &mut transfer_errors,
-                    );
+                for &link in &jal_links {
+                    cfg.push(addr, link, "return");
                 }
             }
-            CtrlInstr::Beq { offset, .. }
-            | CtrlInstr::Bne { offset, .. }
-            | CtrlInstr::Blt { offset, .. }
-            | CtrlInstr::Bge { offset, .. } => {
-                let target = fall.wrapping_add(offset as i32 as u32);
-                push(
-                    &mut worklist,
-                    &mut visited,
-                    diags,
-                    addr,
-                    target,
-                    "branch",
-                    &mut transfer_errors,
-                );
-                push(
-                    &mut worklist,
-                    &mut visited,
-                    diags,
-                    addr,
-                    fall,
-                    "fall-through",
-                    &mut transfer_errors,
-                );
+            Exec::Other if instr == CtrlInstr::Halt => {}
+            _ => {
+                if let CtrlInstr::Ctx { ctx } = instr {
+                    selectable.insert(ctx as usize);
+                }
+                cfg.push(addr, fall, "fall-through");
             }
-            CtrlInstr::Ctx { ctx } => {
-                selectable.insert(ctx as usize);
-                push(
-                    &mut worklist,
-                    &mut visited,
-                    diags,
-                    addr,
-                    fall,
-                    "fall-through",
-                    &mut transfer_errors,
-                );
-            }
-            _ => push(
-                &mut worklist,
-                &mut visited,
-                diags,
-                addr,
-                fall,
-                "fall-through",
-                &mut transfer_errors,
-            ),
         }
     }
 
     // RL-Q005: dead words — only meaningful when the graph was fully
     // analyzable (transfer or decode errors already poison reachability).
-    if !transfer_errors {
-        let dead: Vec<usize> = (0..len).filter(|&a| !visited[a]).collect();
+    if !cfg.errors {
+        let dead: Vec<usize> = (0..len).filter(|&a| !cfg.visited[a]).collect();
         if let Some(&first) = dead.first() {
             let n = dead.len();
             emit(
-                diags,
+                cfg.diags,
                 "RL-Q005",
                 Severity::Warning,
                 Site::Code { addr: first },
@@ -362,7 +316,7 @@ fn check_static_operands(
             }
             CtrlInstr::Wloc { packed, .. } => {
                 if let Some(g) = geometry {
-                    let dnode = (packed >> 3) as usize;
+                    let (dnode, _) = split_slot(packed);
                     if dnode >= g.dnodes() {
                         bad(
                             addr,
@@ -387,7 +341,7 @@ fn check_static_operands(
             }
             CtrlInstr::Who { switch, .. } | CtrlInstr::Hpop { switch, .. } => {
                 if let Some(g) = geometry {
-                    let (s, p) = ((switch >> 8) as usize, (switch & 0xff) as usize);
+                    let (s, p) = split_port(switch);
                     if s >= g.switches() || p >= g.width() {
                         bad(
                             addr,
@@ -403,7 +357,7 @@ fn check_static_operands(
             }
             CtrlInstr::Hpush { switch, .. } => {
                 if let Some(g) = geometry {
-                    let (s, p) = ((switch >> 8) as usize, (switch & 0xff) as usize);
+                    let (s, p) = split_port(switch);
                     if s >= g.switches() || p >= 2 * g.width() {
                         bad(
                             addr,
@@ -426,20 +380,26 @@ fn check_static_operands(
                     ),
                 );
             }
-            CtrlInstr::Lw { ra, imm, .. } | CtrlInstr::Sw { ra, imm, .. } if ra == CReg::ZERO => {
-                let abs = imm as i32 as u32;
-                if abs as usize >= limits.dmem_capacity {
+            // With only r0 known, `exec` yields the address of an
+            // r0-based `lw`/`sw` and nothing else.
+            _ => match instr.exec(addr as u32, |r| (r == CReg::ZERO).then_some(0)) {
+                Exec::Load {
+                    addr: Some(abs), ..
+                }
+                | Exec::Store {
+                    addr: Some(abs), ..
+                } if abs as usize >= limits.dmem_capacity => {
                     bad(
                         addr,
                         format!(
-                            "accesses data word {abs} ({imm} from r0), but data memory \
+                            "accesses data word {abs} ({} from r0), but data memory \
                              holds {} words",
-                            limits.dmem_capacity
+                            abs as i32, limits.dmem_capacity
                         ),
                     );
                 }
-            }
-            _ => {}
+                _ => {}
+            },
         }
     }
 }
@@ -461,6 +421,40 @@ fn check_context_graph(model: &ConfigModel, facts: &CodeFacts, diags: &mut Vec<D
                 "carries configuration, but no reachable `ctx` instruction ever selects it"
                     .to_owned(),
                 "select the context from the controller program or drop its configuration",
+            );
+        }
+    }
+}
+
+/// `RL-F002`: a reachable host pop from a port no capture selector ever
+/// feeds (and no reachable `who` could arm at run time) stalls forever.
+fn check_host_pops(facts: &CodeFacts, model: &ConfigModel, diags: &mut Vec<Diagnostic>) {
+    if facts
+        .instrs()
+        .any(|(_, i)| matches!(i, CtrlInstr::Who { .. }))
+    {
+        return;
+    }
+    for (addr, instr) in facts.instrs() {
+        let CtrlInstr::Hpop { switch, .. } = instr else {
+            continue;
+        };
+        let (s, p) = split_port(switch);
+        let fed = model
+            .captures
+            .iter()
+            .any(|(&(_, cs, cp), cap)| cs == s && cp == p && cap.selected().is_some());
+        if !fed {
+            emit(
+                diags,
+                "RL-F002",
+                Severity::Warning,
+                Site::Code { addr },
+                format!(
+                    "pops host-output port {p} of switch {s}, but no capture selector \
+                     ever feeds it (the controller stalls forever)"
+                ),
+                "add a `capture` for the port or pop a captured one",
             );
         }
     }

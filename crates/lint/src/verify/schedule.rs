@@ -1,14 +1,14 @@
 //! Forking symbolic walk of the controller program (`RL-Txxx` evidence).
 //!
-//! Extends the fusibility tracer from a single concrete trace to a small
-//! *set* of abstract paths: a branch on unknown data forks the walk
-//! instead of abandoning it, a `hpop` is modeled with a conservative
-//! host-FIFO readiness clock instead of aborting, and every
-//! configuration-touching effect is recorded with its retire cycle so the
-//! hazard and value-range passes can replay the writes. When every path
-//! halts, the maximum path cycle count is a sound upper bound on the halt
-//! cycle of any real execution, and the last configuration event bounds
-//! the cycle from which the fabric provably never changes again.
+//! Each path evaluates the ISA's own semantics (`CtrlInstr::exec`) over
+//! values that are known or unknown (`Option<u32>`): a branch on unknown
+//! data forks the walk, a `hpop` is modeled with a conservative
+//! host-FIFO readiness clock, and every configuration-touching effect is
+//! recorded with its retire cycle so the hazard and value-range passes
+//! can replay the writes. When every path halts, the maximum path cycle
+//! count is a sound upper bound on the halt cycle of any real execution,
+//! and the last configuration event bounds the cycle from which the
+//! fabric provably never changes again.
 //!
 //! Soundness notes:
 //!
@@ -25,7 +25,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use systolic_ring_isa::ctrl::{CReg, CtrlInstr};
+use systolic_ring_isa::ctrl::{micro_word, split_port, split_slot, CReg, CtrlInstr, Exec};
 use systolic_ring_isa::object::Object;
 
 use crate::model::ConfigModel;
@@ -48,20 +48,8 @@ const SETTLE_SLACK: u64 = 2;
 /// `actual <= bound <= 4 * actual` on every shipped program.
 const HPOP_READY_BASE: u64 = 8;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Val {
-    Known(u32),
-    Unknown,
-}
-
-impl Val {
-    fn map2(self, other: Val, f: impl FnOnce(u32, u32) -> u32) -> Val {
-        match (self, other) {
-            (Val::Known(a), Val::Known(b)) => Val::Known(f(a, b)),
-            _ => Val::Unknown,
-        }
-    }
-}
+/// A register or data-memory value on a path: `None` when unknown.
+type Val = Option<u32>;
 
 /// One configuration-touching effect, with unknown operands preserved as
 /// `None` so consumers stay conservative.
@@ -171,7 +159,7 @@ struct Path {
 impl Path {
     fn read(&self, r: CReg) -> Val {
         if r == CReg::ZERO {
-            Val::Known(0)
+            Some(0)
         } else {
             self.regs[r.index()]
         }
@@ -194,18 +182,12 @@ impl Path {
         };
         mix(u64::from(self.pc));
         for r in &self.regs {
-            match r {
-                Val::Known(v) => mix(u64::from(*v)),
-                Val::Unknown => mix(u64::MAX),
-            }
+            mix(r.map_or(u64::MAX, u64::from));
         }
         let mut dmem: Vec<(u32, u32)> = self
             .dmem
             .iter()
-            .map(|(&a, &v)| match v {
-                Val::Known(v) => (a, v),
-                Val::Unknown => (a, u32::MAX),
-            })
+            .map(|(&a, &v)| (a, v.unwrap_or(u32::MAX)))
             .collect();
         dmem.sort_unstable();
         for (a, v) in dmem {
@@ -292,14 +274,14 @@ pub(crate) fn walk(object: &Object, limits: &LintLimits, model: &ConfigModel) ->
     let mut ports: Vec<(usize, usize)> = model.captures.keys().map(|&(_, s, p)| (s, p)).collect();
     for instr in decoded.iter().flatten() {
         if let CtrlInstr::Who { switch, .. } = *instr {
-            ports.push(((switch >> 8) as usize, (switch & 0xff) as usize));
+            ports.push(split_port(switch));
         }
     }
     ports.sort_unstable();
     ports.dedup();
 
     let mut initial = Path {
-        regs: [Val::Known(0); 16],
+        regs: [Some(0); 16],
         dmem: HashMap::new(),
         pc: 0,
         cycles: 0,
@@ -402,9 +384,9 @@ pub(crate) fn walk(object: &Object, limits: &LintLimits, model: &ConfigModel) ->
     }
 }
 
-/// Executes one instruction on `path`. Mirrors the controller's retire
-/// semantics (and the fusibility tracer) exactly for the data core;
-/// extends it with forking, config-event recording and the `hpop` clock.
+/// Executes one instruction on `path`: the ISA's `exec` for registers,
+/// data memory and control flow, plus forking, config-event recording and
+/// the `hpop` clock.
 #[allow(clippy::too_many_lines)]
 fn step(
     path: &mut Path,
@@ -426,22 +408,15 @@ fn step(
     path.pc = fall;
     match instr {
         CtrlInstr::Halt => return StepResult::Halted,
-        CtrlInstr::Nop | CtrlInstr::Busw { .. } | CtrlInstr::Hpush { .. } => {}
         CtrlInstr::Cimm { imm } => path.cir = imm,
         CtrlInstr::Wctx { ctx } => path.wctx = ctx as usize,
         CtrlInstr::Wdn { rs, dnode } => {
-            let word = match path.read(rs) {
-                Val::Known(v) => Some(u64::from(v) | (u64::from(path.cir) << 32)),
-                Val::Unknown => None,
-            };
+            let word = path.read(rs).map(|v| micro_word(v, path.cir));
             let (ctx, dnode) = (path.wctx, dnode as usize);
             path.record(addr, ConfigEvent::WriteDnode { ctx, dnode, word });
         }
         CtrlInstr::Wsw { rs, port } => {
-            let word = match path.read(rs) {
-                Val::Known(v) => Some(v),
-                Val::Unknown => None,
-            };
+            let word = path.read(rs);
             // Flat port addressing: `(switch * width + lane) * 4 + input`.
             let flat = port as usize;
             let (switch, lane, input) = match model.geometry {
@@ -461,10 +436,10 @@ fn step(
             );
         }
         CtrlInstr::Who { rs, switch } => {
-            let (s, p) = ((switch >> 8) as usize, (switch & 0xff) as usize);
+            let (s, p) = split_port(switch);
             let ctx = path.wctx;
             match path.read(rs) {
-                Val::Known(v) => {
+                Some(v) => {
                     path.record(
                         addr,
                         ConfigEvent::WriteCapture {
@@ -481,7 +456,7 @@ fn step(
                     path.capture_overlay.insert((ctx, s, p), armed);
                     path.refresh_live(model, ports);
                 }
-                Val::Unknown => {
+                None => {
                     return StepResult::Abandon(format!(
                         "capture selector written with unknown data at {addr} \
                          (host-pop liveness becomes unknowable)"
@@ -490,26 +465,17 @@ fn step(
             }
         }
         CtrlInstr::Wmode { rs, dnode } => {
-            let local = match path.read(rs) {
-                Val::Known(v) => Some(v != 0),
-                Val::Unknown => None,
-            };
+            let local = path.read(rs).map(|v| v != 0);
             let dnode = dnode as usize;
             path.record(addr, ConfigEvent::WriteMode { dnode, local });
         }
         CtrlInstr::Wloc { rs, packed } => {
-            let word = match path.read(rs) {
-                Val::Known(v) => Some(u64::from(v) | (u64::from(path.cir) << 32)),
-                Val::Unknown => None,
-            };
-            let (dnode, slot) = ((packed >> 3) as usize, (packed & 7) as usize);
+            let word = path.read(rs).map(|v| micro_word(v, path.cir));
+            let (dnode, slot) = split_slot(packed);
             path.record(addr, ConfigEvent::WriteLocalSlot { dnode, slot, word });
         }
         CtrlInstr::Wlim { rs, dnode } => {
-            let limit = match path.read(rs) {
-                Val::Known(v) => Some(v),
-                Val::Unknown => None,
-            };
+            let limit = path.read(rs);
             let dnode = dnode as usize;
             path.record(addr, ConfigEvent::WriteLocalLimit { dnode, limit });
         }
@@ -524,10 +490,10 @@ fn step(
         }
         CtrlInstr::Busr { rd } => {
             path.abstracted = true;
-            path.write(rd, Val::Unknown);
+            path.write(rd, None);
         }
         CtrlInstr::Hpop { rd, switch } => {
-            let (s, p) = ((switch >> 8) as usize, (switch & 0xff) as usize);
+            let (s, p) = split_port(switch);
             match path.live_from.get(&(s, p)).copied() {
                 Some(live) => {
                     let k = path.pops.entry((s, p)).or_insert(0);
@@ -537,7 +503,7 @@ fn step(
                         path.cycles = ready;
                     }
                     path.abstracted = true;
-                    path.write(rd, Val::Unknown);
+                    path.write(rd, None);
                 }
                 None if !path.abstracted => {
                     return StepResult::Diverge {
@@ -556,164 +522,58 @@ fn step(
                 }
             }
         }
-        CtrlInstr::Add { rd, ra, rb } => {
-            let v = path.read(ra).map2(path.read(rb), u32::wrapping_add);
-            path.write(rd, v);
-        }
-        CtrlInstr::Sub { rd, ra, rb } => {
-            let v = path.read(ra).map2(path.read(rb), u32::wrapping_sub);
-            path.write(rd, v);
-        }
-        CtrlInstr::And { rd, ra, rb } => {
-            let v = path.read(ra).map2(path.read(rb), |a, b| a & b);
-            path.write(rd, v);
-        }
-        CtrlInstr::Or { rd, ra, rb } => {
-            let v = path.read(ra).map2(path.read(rb), |a, b| a | b);
-            path.write(rd, v);
-        }
-        CtrlInstr::Xor { rd, ra, rb } => {
-            let v = path.read(ra).map2(path.read(rb), |a, b| a ^ b);
-            path.write(rd, v);
-        }
-        CtrlInstr::Sll { rd, ra, rb } => {
-            let v = path.read(ra).map2(path.read(rb), |a, b| a << (b & 31));
-            path.write(rd, v);
-        }
-        CtrlInstr::Srl { rd, ra, rb } => {
-            let v = path.read(ra).map2(path.read(rb), |a, b| a >> (b & 31));
-            path.write(rd, v);
-        }
-        CtrlInstr::Sra { rd, ra, rb } => {
-            let v = path
-                .read(ra)
-                .map2(path.read(rb), |a, b| ((a as i32) >> (b & 31)) as u32);
-            path.write(rd, v);
-        }
-        CtrlInstr::Slt { rd, ra, rb } => {
-            let v = path
-                .read(ra)
-                .map2(path.read(rb), |a, b| ((a as i32) < (b as i32)) as u32);
-            path.write(rd, v);
-        }
-        CtrlInstr::Sltu { rd, ra, rb } => {
-            let v = path.read(ra).map2(path.read(rb), |a, b| (a < b) as u32);
-            path.write(rd, v);
-        }
-        CtrlInstr::Mul { rd, ra, rb } => {
-            let v = path.read(ra).map2(path.read(rb), u32::wrapping_mul);
-            path.write(rd, v);
-        }
-        CtrlInstr::Addi { rd, ra, imm } => {
-            let v = path
-                .read(ra)
-                .map2(Val::Known(imm as i32 as u32), u32::wrapping_add);
-            path.write(rd, v);
-        }
-        CtrlInstr::Andi { rd, ra, imm } => {
-            let v = path.read(ra).map2(Val::Known(imm.into()), |a, b| a & b);
-            path.write(rd, v);
-        }
-        CtrlInstr::Ori { rd, ra, imm } => {
-            let v = path.read(ra).map2(Val::Known(imm.into()), |a, b| a | b);
-            path.write(rd, v);
-        }
-        CtrlInstr::Xori { rd, ra, imm } => {
-            let v = path.read(ra).map2(Val::Known(imm.into()), |a, b| a ^ b);
-            path.write(rd, v);
-        }
-        CtrlInstr::Slti { rd, ra, imm } => {
-            let v = path.read(ra).map2(Val::Known(imm as i32 as u32), |a, b| {
-                ((a as i32) < (b as i32)) as u32
-            });
-            path.write(rd, v);
-        }
-        CtrlInstr::Lui { rd, imm } => path.write(rd, Val::Known(u32::from(imm) << 16)),
-        CtrlInstr::Lw { rd, ra, imm } => match path.read(ra) {
-            Val::Known(base) => {
-                let a = base.wrapping_add(imm as i32 as u32);
+        _ => match instr.exec(addr as u32, |r| path.read(r)) {
+            Exec::Write { rd, value } => path.write(rd, value),
+            Exec::Load { rd, addr: None } => path.write(rd, None),
+            Exec::Load { rd, addr: Some(a) } => {
                 if a as usize >= limits.dmem_capacity {
                     return StepResult::Abandon(format!("load from out-of-range address {a}"));
                 }
-                let v = path.dmem.get(&a).copied().unwrap_or_else(|| {
-                    match object.data.get(a as usize) {
-                        Some(&w) => Val::Known(w),
-                        None => Val::Known(0),
-                    }
-                });
+                let preloaded = || Some(object.data.get(a as usize).copied().unwrap_or(0));
+                let v = path.dmem.get(&a).copied().unwrap_or_else(preloaded);
                 path.write(rd, v);
             }
-            Val::Unknown => path.write(rd, Val::Unknown),
-        },
-        CtrlInstr::Sw { rs, ra, imm } => match path.read(ra) {
-            Val::Known(base) => {
-                let a = base.wrapping_add(imm as i32 as u32);
-                if a as usize >= limits.dmem_capacity {
-                    return StepResult::Abandon(format!("store to out-of-range address {a}"));
-                }
-                let v = path.read(rs);
-                path.dmem.insert(a, v);
-            }
-            Val::Unknown => {
+            Exec::Store { addr: None, .. } => {
                 return StepResult::Abandon(
                     "store to an unknown address (poisons data memory)".to_owned(),
                 );
             }
-        },
-        CtrlInstr::Beq { ra, rb, offset } => {
-            let (a, b) = (path.read(ra), path.read(rb));
-            return take_branch(path, a, b, offset, fall, |a, b| a == b);
-        }
-        CtrlInstr::Bne { ra, rb, offset } => {
-            let (a, b) = (path.read(ra), path.read(rb));
-            return take_branch(path, a, b, offset, fall, |a, b| a != b);
-        }
-        CtrlInstr::Blt { ra, rb, offset } => {
-            let (a, b) = (path.read(ra), path.read(rb));
-            return take_branch(path, a, b, offset, fall, |a, b| (a as i32) < (b as i32));
-        }
-        CtrlInstr::Bge { ra, rb, offset } => {
-            let (a, b) = (path.read(ra), path.read(rb));
-            return take_branch(path, a, b, offset, fall, |a, b| (a as i32) >= (b as i32));
-        }
-        CtrlInstr::J { target } => return jump(path, u32::from(target), fall),
-        CtrlInstr::Jal { target } => {
-            path.write(CReg::LINK, Val::Known(fall));
-            return jump(path, u32::from(target), fall);
-        }
-        CtrlInstr::Jr { ra } => match path.read(ra) {
-            Val::Known(target) => return jump(path, target, fall),
-            Val::Unknown => {
-                return StepResult::Abandon("indirect jump through an unknown register".to_owned());
+            Exec::Store {
+                value,
+                addr: Some(a),
+            } => {
+                if a as usize >= limits.dmem_capacity {
+                    return StepResult::Abandon(format!("store to out-of-range address {a}"));
+                }
+                path.dmem.insert(a, value);
             }
+            // Known operands decide a branch; unknown ones fork both
+            // successors (the caller enqueues the taken side, this path
+            // continues on the fall-through).
+            Exec::Branch { taken: Some(0), .. } => {}
+            Exec::Branch {
+                taken: Some(_),
+                target,
+            } => return jump(path, target, fall),
+            Exec::Branch {
+                taken: None,
+                target,
+            } => return StepResult::Fork { taken: target },
+            Exec::Jump { target, link } => {
+                if let Some(link) = link {
+                    path.write(CReg::LINK, link);
+                }
+                let Some(target) = target else {
+                    return StepResult::Abandon(
+                        "indirect jump through an unknown register".to_owned(),
+                    );
+                };
+                return jump(path, target, fall);
+            }
+            Exec::Other => {}
         },
     }
     StepResult::Continue
-}
-
-/// Shared branch logic. Known operands decide the branch; unknown
-/// operands fork both successors (the caller enqueues the taken side,
-/// this path continues on the fall-through).
-fn take_branch(
-    path: &mut Path,
-    a: Val,
-    b: Val,
-    offset: i16,
-    fall: u32,
-    cond: impl FnOnce(u32, u32) -> bool,
-) -> StepResult {
-    match (a, b) {
-        (Val::Known(a), Val::Known(b)) => {
-            if cond(a, b) {
-                let target = fall.wrapping_add(offset as i32 as u32);
-                return jump(path, target, fall);
-            }
-            StepResult::Continue
-        }
-        _ => StepResult::Fork {
-            taken: fall.wrapping_add(offset as i32 as u32),
-        },
-    }
 }
 
 /// Jump with backward-edge divergence detection on concrete paths.

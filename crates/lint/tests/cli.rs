@@ -119,6 +119,8 @@ fn clean_objects_pass_and_advisories_never_gate() {
     // tripping the deny-by-default gate.
     assert!(stdout.contains("RL-T001"), "{stdout}");
     assert!(stdout.contains("RL-H003"), "{stdout}");
+    // The summary line carries the proven halt bound (`wait 16; halt`).
+    assert!(stdout.contains("halts by cycle 17)"), "{stdout}");
 }
 
 #[test]
@@ -148,7 +150,7 @@ fn json_mode_is_machine_readable_and_stable() {
     assert_eq!(out.status.code(), Some(1), "the gate still applies");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(
-        stdout.starts_with(r#"{"version":2,"objects":["#),
+        stdout.starts_with(r#"{"version":3,"objects":["#),
         "{stdout}"
     );
     assert!(

@@ -4,7 +4,7 @@
 //! and asserts the report carries that rule's stable code at the expected
 //! severity. Together the corpus pins down the complete `RL-*` catalog:
 //! structural (`RL-S001..S008`), dataflow (`RL-D001..D005`), sequencer
-//! (`RL-Q001..Q008`), fusibility (`RL-F001..F002`) and the verify passes
+//! (`RL-Q001..Q008`, `RL-F002`) and the verify passes
 //! (`RL-T001..T003` schedule bounds, `RL-H001..H003` reconfiguration
 //! hazards, `RL-V001..V003` value ranges).
 
@@ -16,7 +16,7 @@ use systolic_ring_isa::proof::OutRange;
 use systolic_ring_isa::switch::{HostCapture, PortSource};
 use systolic_ring_isa::{RingGeometry, Word16};
 use systolic_ring_lint::{
-    lint_object, lint_object_expecting, lint_object_with, Fusibility, LintLimits, Severity,
+    lint_object, lint_object_expecting, lint_object_with, LintLimits, Severity,
 };
 
 /// A well-formed skeleton: paper-sized ring, one context, `wait; halt`.
@@ -402,28 +402,7 @@ fn q008_statically_faulting_operands() {
     assert_eq!(expect(&object, "RL-Q008", Severity::Error), 4);
 }
 
-// ---------------------------------------------------------------- fusibility
-
-#[test]
-fn f001_data_dependent_branch_defeats_the_proof() {
-    let mut object = base();
-    object.code = vec![
-        CtrlInstr::Busr { rd: reg(1) }.encode(),
-        CtrlInstr::Beq {
-            ra: reg(1),
-            rb: CReg::ZERO,
-            offset: 0,
-        }
-        .encode(),
-        CtrlInstr::Halt.encode(),
-    ];
-    expect(&object, "RL-F001", Severity::Info);
-    let report = lint_object(&object);
-    assert!(matches!(report.fusibility, Fusibility::Unknown { .. }));
-    // Info findings never fail a gate, even under --deny-warnings.
-    assert!(report.is_clean());
-    assert!(lint_object(&object).into_result(true).is_ok());
-}
+// ------------------------------------------------------------ host pops (F)
 
 #[test]
 fn f002_pop_from_port_no_capture_feeds() {
@@ -474,6 +453,8 @@ fn t002_data_dependent_loop_defeats_the_bound() {
     assert_eq!(report.proof.cycle_bound, None);
     // An abandoned walk claims nothing — hazard freedom included.
     assert!(!report.proof.hazard_free);
+    // Info findings never fail a gate, even under --deny-warnings.
+    assert!(report.into_result(true).is_ok());
 }
 
 #[test]
@@ -688,7 +669,6 @@ fn clean_object_has_no_findings() {
         .map(|d| d.to_string())
         .collect();
     assert!(unexpected.is_empty(), "unexpected findings: {unexpected:?}");
-    assert!(matches!(report.fusibility, Fusibility::Fusible { .. }));
     for advisory in ["RL-T001", "RL-H003"] {
         assert!(
             report
@@ -703,19 +683,19 @@ fn clean_object_has_no_findings() {
     assert!(report.proof.hazard_free);
 }
 
-/// The corpus covers the full 32-code catalog, across all seven
+/// The corpus covers the full 31-code catalog, across all seven
 /// families, with every code distinct.
 #[test]
 fn corpus_spans_the_catalog() {
     let catalog = [
         "RL-S001", "RL-S002", "RL-S003", "RL-S004", "RL-S005", "RL-S006", "RL-S007", "RL-S008",
         "RL-D001", "RL-D002", "RL-D003", "RL-D004", "RL-D005", "RL-Q001", "RL-Q002", "RL-Q003",
-        "RL-Q004", "RL-Q005", "RL-Q006", "RL-Q007", "RL-Q008", "RL-F001", "RL-F002", "RL-T001",
-        "RL-T002", "RL-T003", "RL-H001", "RL-H002", "RL-H003", "RL-V001", "RL-V002", "RL-V003",
+        "RL-Q004", "RL-Q005", "RL-Q006", "RL-Q007", "RL-Q008", "RL-F002", "RL-T001", "RL-T002",
+        "RL-T003", "RL-H001", "RL-H002", "RL-H003", "RL-V001", "RL-V002", "RL-V003",
     ];
     let unique: std::collections::BTreeSet<_> = catalog.iter().collect();
     assert_eq!(unique.len(), catalog.len());
-    assert_eq!(catalog.len(), 32, "the catalog is pinned at 32 codes");
+    assert_eq!(catalog.len(), 31, "the catalog is pinned at 31 codes");
     for family in ["RL-S", "RL-D", "RL-Q", "RL-F", "RL-T", "RL-H", "RL-V"] {
         assert!(catalog.iter().any(|c| c.starts_with(family)));
     }

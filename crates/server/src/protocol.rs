@@ -85,12 +85,37 @@ impl Request {
 /// Most body bytes [`read_request`] reserves before any arrive.
 const BODY_RESERVE: usize = 64 * 1024;
 
-/// Reads one request from a keep-alive connection; `None` on clean EOF.
-pub fn read_request(stream: &mut impl BufRead) -> io::Result<Option<Request>> {
-    let mut line = String::new();
-    if stream.read_line(&mut line)? == 0 {
+/// Longest request or header line [`read_request`] reads, terminator
+/// included.
+const MAX_LINE: u64 = 8 * 1024;
+
+/// Most header lines [`read_request`] accepts in one request.
+const MAX_HEADERS: usize = 64;
+
+/// Reads one line through `Read::take`, so a line that never ends costs
+/// at most [`MAX_LINE`] bytes; `None` on EOF before the first byte.
+fn read_line(stream: &mut impl BufRead) -> io::Result<Option<String>> {
+    let mut line = Vec::new();
+    let read = stream.take(MAX_LINE).read_until(b'\n', &mut line)?;
+    if read == 0 {
         return Ok(None);
     }
+    if read as u64 == MAX_LINE && line.last() != Some(&b'\n') {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "line too long"));
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "line is not UTF-8"))
+}
+
+/// Reads one request from a keep-alive connection; `None` on clean EOF.
+///
+/// Refuses with `InvalidData` (which the server answers with `400`) a
+/// line longer than 8 KiB or more than 64 headers.
+pub fn read_request(stream: &mut impl BufRead) -> io::Result<Option<Request>> {
+    let Some(line) = read_line(stream)? else {
+        return Ok(None);
+    };
     let mut parts = line.split_whitespace();
     let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
         return Err(io::Error::new(
@@ -113,13 +138,18 @@ pub fn read_request(stream: &mut impl BufRead) -> io::Result<Option<Request>> {
     let mut headers = Vec::new();
     let mut content_length = 0usize;
     loop {
-        let mut line = String::new();
-        if stream.read_line(&mut line)? == 0 {
+        let Some(line) = read_line(stream)? else {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "mid-headers"));
-        }
+        };
         let line = line.trim_end();
         if line.is_empty() {
             break;
+        }
+        if headers.len() == MAX_HEADERS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "too many headers",
+            ));
         }
         let Some((name, value)) = line.split_once(':') else {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "bad header"));
@@ -480,7 +510,8 @@ pub fn json_string(s: &str) -> String {
 
 /// A minimal JSON value, enough to parse the service's own responses
 /// (the [`client`](crate::client) and the load generator use it; the
-/// server only ever *emits* JSON).
+/// server only ever *emits* JSON) and the benchmark records of
+/// `BENCH_*.json`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -521,10 +552,11 @@ impl Json {
         }
     }
 
-    /// The value as u64 (truncating).
+    /// The value as u64: `None` for negatives, fractions and values
+    /// above 2^53, which an `f64` cannot hold exactly.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) => Some(*n as u64),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
             _ => None,
         }
     }
@@ -636,6 +668,8 @@ impl JsonParser<'_> {
                         Some(b'n') => out.push('\n'),
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
                                 .bytes
@@ -734,6 +768,21 @@ mod tests {
         );
         assert!(Json::parse("[1,2,]").is_err());
         assert!(Json::parse("{\"a\":1} trailing").is_err());
+        assert_eq!(
+            Json::parse(r#""\b\f""#).unwrap().as_str(),
+            Some("\u{8}\u{c}")
+        );
+    }
+
+    #[test]
+    fn as_u64_refuses_what_an_f64_cannot_hold_exactly() {
+        let n = |text: &str| Json::parse(text).unwrap().as_u64();
+        assert_eq!(n("0"), Some(0));
+        assert_eq!(n("9007199254740992"), Some(1 << 53));
+        assert_eq!(n("9007199254740994"), None);
+        assert_eq!(n("-1"), None);
+        assert_eq!(n("2.5"), None);
+        assert_eq!(n("\"7\""), None);
     }
 
     #[test]
@@ -772,6 +821,61 @@ mod tests {
         assert_eq!(req.body, b"abc");
         // EOF after the request: keep-alive loop sees a clean close.
         assert!(read_request(&mut reader).expect("io").is_none());
+    }
+
+    /// A reader that counts the bytes pulled from it.
+    struct Counting<R> {
+        inner: R,
+        read: std::rc::Rc<std::cell::Cell<usize>>,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read.set(self.read.get() + n);
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn an_endless_line_is_refused_after_at_most_the_cap() {
+        for prefix in ["", "GET / HTTP/1.1\r\nx-pad: "] {
+            let read = std::rc::Rc::new(std::cell::Cell::new(0));
+            let endless = prefix.bytes().chain(std::iter::repeat_n(b'a', 1 << 20));
+            let source = Counting {
+                inner: io::Cursor::new(endless.collect::<Vec<u8>>()),
+                read: read.clone(),
+            };
+            let mut reader = io::BufReader::new(source);
+            let err = read_request(&mut reader).expect_err("1 MiB line");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            // What the parser consumed, not what the buffer read ahead.
+            let consumed = read.get() - reader.buffer().len();
+            assert!(
+                consumed <= prefix.len() + MAX_LINE as usize,
+                "{consumed} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn header_lines_are_capped_in_length_and_count() {
+        let request = |headers: usize, width: usize| {
+            let mut raw = "GET /healthz HTTP/1.1\r\n".to_owned();
+            for i in 0..headers {
+                raw.push_str(&format!("x-{i}: {}\r\n", "v".repeat(width)));
+            }
+            raw.push_str("\r\n");
+            read_request(&mut io::BufReader::new(raw.as_bytes()))
+        };
+        assert!(request(MAX_HEADERS, 16).is_ok());
+        let err = request(MAX_HEADERS + 1, 16).expect_err("one header too many");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // "x-0: " plus CRLF around the value fills the line exactly.
+        let fits = MAX_LINE as usize - "x-0: \r\n".len();
+        assert!(request(1, fits).is_ok());
+        let err = request(1, fits + 1).expect_err("one byte too long");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
